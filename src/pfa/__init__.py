@@ -23,7 +23,6 @@ from .dissect import (
     CompleteGraphError,
     DissectionResult,
     Removal,
-    brute_force_min_node_cut,
     dissect,
     min_node_cut,
 )
@@ -37,7 +36,7 @@ from .stats import (
     mutual_information,
     regularized_upper_gamma,
 )
-from .synth import DagSpec, SynthSpec, generate, random_dag, random_graph
+from .synth import DagSpec, SynthSpec, generate, random_dag
 
 __all__ = [
     "CompleteGraphError",
@@ -54,7 +53,6 @@ __all__ = [
     "PfaResult",
     "Removal",
     "SynthSpec",
-    "brute_force_min_node_cut",
     "build_graph",
     "chi_square_p_value",
     "chi_square_statistic",
@@ -73,7 +71,6 @@ __all__ = [
     "min_node_cut",
     "mutual_information",
     "random_dag",
-    "random_graph",
     "regularized_upper_gamma",
     "robust_intersection",
     "run_pfa",

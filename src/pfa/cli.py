@@ -111,6 +111,8 @@ def _write_outputs(out_prefix: str, features, report: dict) -> None:
 
 
 def _build_config(args) -> analysis.PfaConfig:
+    if args.theta is not None and args.n_outputs < 1:
+        raise ValueError("--theta needs at least one output row (--n-outputs >= 1)")
     return analysis.PfaConfig(
         nu=args.nu,
         alpha=args.alpha,
@@ -135,9 +137,13 @@ def _analyze(ds: dataset.Dataset, cfg: analysis.PfaConfig) -> analysis.PfaResult
         if cfg.theta is not None:
             analysis.filter_by_mi(result, ds, cfg.theta)
         _log(f"pfa: relevance filtering in {time.perf_counter() - started:.2f}s")
-    elif cfg.theta is not None:
-        raise ValueError("--theta needs at least one output row (--n-outputs >= 1)")
     return result
+
+
+def _log_warnings(results) -> None:
+    """Each distinct warning of the given results once, in first-seen order."""
+    for warning in dict.fromkeys(w for result in results for w in result.warnings):
+        _log(f"pfa: warning: {warning}")
 
 
 def cmd_run(args) -> int:
@@ -150,8 +156,7 @@ def cmd_run(args) -> int:
         "graph": _graph_json(result),
     }
     _write_outputs(args.out, result.selected_features(), report)
-    for warning in result.warnings:
-        _log(f"pfa: warning: {warning}")
+    _log_warnings([result])
     return 0
 
 
@@ -171,6 +176,7 @@ def cmd_robust(args) -> int:
         "runs": [_result_json(result) for result in results],
     }
     _write_outputs(args.out, common, report)
+    _log_warnings(results)
     return 0
 
 

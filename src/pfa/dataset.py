@@ -77,6 +77,23 @@ class Dataset:
         )
 
 
+def _plain_lines(fh):
+    """The file's lines, rejecting any with ``_``.
+
+    ``float()`` reads ``_`` as a digit separator (``1_0`` is 10.0), which no
+    numeric cell of this format contains.  One scan per line costs far less
+    than a check per cell.
+    """
+    for row_no, line in enumerate(fh, start=1):
+        if "_" in line:
+            cells = line.rstrip("\r\n").split(",")
+            col_no, cell = next((c, v) for c, v in enumerate(cells, start=1) if "_" in v)
+            raise DatasetError(
+                f"non-numeric cell {cell!r} at row {row_no}, column {col_no}"
+            )
+        yield line
+
+
 def load_csv(path, n_outputs: int = 1) -> Dataset:
     """Read a dataset from the headerless variables-by-points CSV layout.
 
@@ -85,7 +102,7 @@ def load_csv(path, n_outputs: int = 1) -> Dataset:
     """
     rows: list[list[float]] = []
     with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
+        reader = csv.reader(_plain_lines(fh))
         for row_no, record in enumerate(reader, start=1):
             if rows and len(record) != len(rows[0]):
                 raise DatasetError(

@@ -1,27 +1,31 @@
 """Exact minimum node cuts and iterative graph dissection.
 
 The cut is computed by vertex splitting: each node v becomes an arc
-v_in -> v_out of capacity one, each undirected edge becomes two
-infinite-capacity arcs, and a BFS augmenting-path max flow between
-candidate terminal pairs yields the vertex connectivity exactly.  The
-candidate schedule (a fixed minimum-degree node against its non-neighbors,
-plus its pairwise non-adjacent neighbors) is the standard exactness
-argument: some minimum cut either excludes that node or separates two of
-its neighbors.
+v_in -> v_out of capacity one, and each undirected edge becomes two
+infinite-capacity arcs.  A max flow between candidate terminal pairs then
+yields the vertex connectivity exactly.  The candidate schedule (a fixed
+minimum-degree node against its non-neighbors, plus its pairwise
+non-adjacent neighbors) is the standard exactness argument: some minimum
+cut either excludes that node or separates two of its neighbors.
+
+The flow is found by shortest augmenting paths over a bit-parallel residual
+network.  Each split node keeps its open out-arcs as one Python-int bitmask,
+so a breadth-first layer expands with one OR per node and stops as soon as
+the sink bit appears.  With unit vertex capacities every arc carries flow 0
+or 1, so an augmentation only flips arc bits.  The search that finds no
+path leaves the residual-reachable source side, whose crossing internal
+arcs are the cut.  That side is the same for every maximum flow (Picard &
+Queyranne 1980), so the chosen cut does not depend on which augmenting
+paths were taken.
 """
 
 from __future__ import annotations
 
 import random
-from collections import deque
 from dataclasses import dataclass
 from itertools import combinations
 
 from .depgraph import Graph, connected_components, is_complete, is_connected
-
-_INF = 1 << 30
-
-BRUTE_FORCE_NODE_LIMIT = 14
 
 
 class CompleteGraphError(ValueError):
@@ -59,76 +63,86 @@ def _node_ranking(nodes, rng: random.Random | None) -> dict[int, int]:
     return {node: pos for pos, node in enumerate(ordered)}
 
 
-class _FlowNetwork:
-    """Unit-capacity vertex-split network for one source/sink query."""
+def _residual_masks(g: Graph, order: dict[int, int]) -> list[int]:
+    """Positive-residual out-arcs of the zero flow, one bitmask per split node.
 
-    def __init__(self, g: Graph, order: dict[int, int]):
-        # v -> (2r, 2r+1) with r the node's rank; in->out carries capacity 1
-        self.order = order
-        n = g.n_nodes
-        self.size = 2 * n
-        self.base_cap = [dict() for _ in range(self.size)]
-        for v in g.nodes:
-            r = order[v]
-            self.base_cap[2 * r][2 * r + 1] = 1
-        for u, v in g.edges():
-            ru, rv = order[u], order[v]
-            self.base_cap[2 * ru + 1][2 * rv] = _INF
-            self.base_cap[2 * rv + 1][2 * ru] = _INF
+    Node v of rank r splits into in-node 2r and out-node 2r+1.  The internal
+    arc 2r -> 2r+1 has capacity one; each edge u-v gives infinite arcs
+    out_u -> in_v and out_v -> in_u.
+    """
+    res = [0] * (2 * g.n_nodes)
+    for v in g.nodes:
+        r = order[v]
+        res[2 * r] = 1 << (2 * r + 1)
+        for w in g.adjacency[v]:
+            res[2 * r + 1] |= 1 << (2 * order[w])
+    return res
 
-    def min_vertex_cut(self, s: int, t: int) -> set[int]:
-        """Smallest vertex set separating non-adjacent s and t, as ranks."""
-        source, sink = 2 * self.order[s] + 1, 2 * self.order[t]
-        cap = [dict(row) for row in self.base_cap]
-        # ensure reverse arcs exist for residual updates
-        for u in range(self.size):
-            for v in self.base_cap[u]:
-                cap[v].setdefault(u, 0)
 
-        def bfs_path():
-            parent = {source: None}
-            queue = deque([source])
-            while queue:
-                u = queue.popleft()
-                if u == sink:
-                    break
-                for v, c in cap[u].items():
-                    if c > 0 and v not in parent:
-                        parent[v] = u
-                        queue.append(v)
-            if sink not in parent:
-                return None
-            path = []
-            v = sink
-            while parent[v] is not None:
-                path.append((parent[v], v))
-                v = parent[v]
-            return path
+def _search(res: list[int], source: int, sink: int) -> tuple[list[int] | None, int]:
+    """Breadth-first search of the residual network, one layer mask at a time.
 
-        while True:
-            path = bfs_path()
-            if path is None:
-                break
-            bottleneck = min(cap[u][v] for u, v in path)
-            for u, v in path:
-                cap[u][v] -= bottleneck
-                cap[v][u] += bottleneck
+    Returns a shortest augmenting path, sink first, or None together with
+    the mask of split nodes reachable from the source once the sink is cut
+    off.
+    """
+    sink_bit = 1 << sink
+    seen = frontier = 1 << source
+    layers = []
+    while frontier:
+        layers.append(frontier)
+        step = 0
+        while frontier:
+            low = frontier & -frontier
+            step |= res[low.bit_length() - 1]
+            if step & sink_bit:
+                return _path_back(res, layers, sink), seen
+            frontier ^= low
+        frontier = step & ~seen
+        seen |= frontier
+    return None, seen
 
-        # residual reachability from the source; saturated internal arcs
-        # crossing the frontier are the cut vertices
-        reach = {source}
-        queue = deque([source])
-        while queue:
-            u = queue.popleft()
-            for v, c in cap[u].items():
-                if c > 0 and v not in reach:
-                    reach.add(v)
-                    queue.append(v)
-        cut_ranks = set()
-        for rank in range(self.size // 2):
-            if 2 * rank in reach and 2 * rank + 1 not in reach:
-                cut_ranks.add(rank)
-        return cut_ranks
+
+def _path_back(res: list[int], layers: list[int], sink: int) -> list[int]:
+    """Walk from the sink back through the BFS layers to the source."""
+    path = [sink]
+    for layer in reversed(layers):
+        # some node of each layer has an arc to the node found after it
+        v_bit = 1 << path[-1]
+        u = (layer & -layer).bit_length() - 1
+        while not res[u] & v_bit:
+            layer &= layer - 1
+            u = (layer & -layer).bit_length() - 1
+        path.append(u)
+    return path
+
+
+def _min_vertex_cut(base: list[int], source: int, sink: int, in_nodes: int) -> int:
+    """Source-side minimum cut between two split nodes, as a mask of in-nodes.
+
+    Every arc carries flow 0 or 1: an in-node other than the sink forwards
+    at most its unit internal capacity, an out-node other than the source
+    receives at most that unit, and the terminals are not adjacent.  So one
+    bit per arc tracks the residual exactly.
+    """
+    res = base[:]
+    while True:
+        path, reach = _search(res, source, sink)
+        if path is None:
+            break
+        for v, u in zip(path, path[1:]):
+            if u >> 1 == v >> 1:
+                # one vertex's internal arc, either way: its unit moves across
+                res[u] ^= 1 << v
+                res[v] ^= 1 << u
+            elif u & 1:
+                # out-node to in-node: the infinite arc opens its reverse
+                res[v] |= 1 << u
+            else:
+                # in-node to out-node: back along an infinite arc, cancelling its unit
+                res[u] &= ~(1 << v)
+    # saturated internal arcs crossing the frontier are the cut vertices
+    return reach & ~(reach >> 1) & in_nodes
 
 
 def min_node_cut(g: Graph, tie_seed: int | None = None) -> frozenset[int]:
@@ -148,7 +162,8 @@ def min_node_cut(g: Graph, tie_seed: int | None = None) -> frozenset[int]:
     rng = random.Random(tie_seed) if tie_seed is not None else None
     order = _node_ranking(g.nodes, rng)
     rank_to_node = {r: v for v, r in order.items()}
-    network = _FlowNetwork(g, order)
+    base = _residual_masks(g, order)
+    in_nodes = int("01" * g.n_nodes, 2)  # the even bits
 
     pivot = min(g.nodes, key=lambda v: (g.degree(v), order[v]))
     candidates: list[tuple[int, int]] = []
@@ -167,36 +182,17 @@ def min_node_cut(g: Graph, tie_seed: int | None = None) -> frozenset[int]:
             (t, s) if rng.random() < 0.5 else (s, t) for s, t in candidates
         ]
 
-    best: set[int] | None = None
+    best: int | None = None
     for s, t in candidates:
-        cut = network.min_vertex_cut(s, t)
-        if best is None or len(cut) < len(best):
+        cut = _min_vertex_cut(base, 2 * order[s] + 1, 2 * order[t], in_nodes)
+        if best is None or cut.bit_count() < best.bit_count():
             best = cut
-            if len(best) == 1:
+            if best.bit_count() == 1:
                 break
     assert best is not None  # g is connected and incomplete
-    return frozenset(rank_to_node[r] for r in best)
-
-
-def brute_force_min_node_cut(g: Graph) -> frozenset[int]:
-    """Oracle: enumerate subsets by ascending cardinality, lexicographic order."""
-    if g.n_nodes > BRUTE_FORCE_NODE_LIMIT:
-        raise ValueError(
-            f"brute force limited to {BRUTE_FORCE_NODE_LIMIT} nodes, got {g.n_nodes}"
-        )
-    if g.n_nodes < 2:
-        raise ValueError("min_node_cut needs at least 2 nodes")
-    if is_complete(g):
-        raise CompleteGraphError("complete graphs have no vertex cut")
-    if not is_connected(g):
-        return frozenset()
-    nodes = sorted(g.nodes)
-    for size in range(1, g.n_nodes - 1):
-        for subset in combinations(nodes, size):
-            remaining = g.induced(set(nodes) - set(subset))
-            if not is_connected(remaining):
-                return frozenset(subset)
-    raise AssertionError("connected incomplete graph must have a cut")
+    return frozenset(
+        rank_to_node[bit >> 1] for bit in range(best.bit_length()) if best >> bit & 1
+    )
 
 
 def dissect(g: Graph, tie_seed: int | None = None) -> DissectionResult:

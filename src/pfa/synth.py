@@ -1,4 +1,4 @@
-"""Deterministic synthetic datasets and random graphs for testing.
+"""Deterministic synthetic datasets for testing and benchmarking.
 
 The built-in scenarios draw base variables i.i.d. uniform on [0, 5] and
 derive the remaining rows exactly:
@@ -22,7 +22,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dataset import Dataset
-from .depgraph import Graph
 
 SCENARIOS = ("example1", "example2", "example3", "example4", "custom")
 
@@ -111,20 +110,3 @@ def random_dag(n_base: int, n_derived: int, seed: int, max_parents: int = 3) -> 
         for _ in range(n_derived)
     )
     return DagSpec(n_base, derived)
-
-
-def random_graph(n: int, p_edge: float, seed: int) -> Graph:
-    """Erdos-Renyi-style graph on nodes 1..n, deterministic in the seed."""
-    if n < 2:
-        raise ValueError(f"need at least 2 nodes, got {n}")
-    if not 0.0 <= p_edge <= 1.0:
-        raise ValueError(f"p_edge must be in [0, 1], got {p_edge}")
-    rng = random.Random(seed)
-    nodes = range(1, n + 1)
-    edges = [
-        (u, v)
-        for u in nodes
-        for v in range(u + 1, n + 1)
-        if rng.random() < p_edge
-    ]
-    return Graph.from_edges(nodes, edges)

@@ -1,9 +1,50 @@
-"""Shared verification helpers for dissection results."""
+"""Test-only oracles, random graphs and verification helpers for dissection."""
 
+import random
 from itertools import combinations
 
 from pfa.depgraph import Graph, connected_components, is_complete, is_connected
-from pfa.dissect import DissectionResult
+from pfa.dissect import CompleteGraphError, DissectionResult
+
+BRUTE_FORCE_NODE_LIMIT = 14
+
+
+def random_graph(n: int, p_edge: float, seed: int) -> Graph:
+    """Erdos-Renyi-style graph on nodes 1..n, deterministic in the seed."""
+    if n < 2:
+        raise ValueError(f"need at least 2 nodes, got {n}")
+    if not 0.0 <= p_edge <= 1.0:
+        raise ValueError(f"p_edge must be in [0, 1], got {p_edge}")
+    rng = random.Random(seed)
+    nodes = range(1, n + 1)
+    edges = [
+        (u, v)
+        for u in nodes
+        for v in range(u + 1, n + 1)
+        if rng.random() < p_edge
+    ]
+    return Graph.from_edges(nodes, edges)
+
+
+def brute_force_min_node_cut(g: Graph) -> frozenset[int]:
+    """Oracle: enumerate subsets by ascending cardinality, lexicographic order."""
+    if g.n_nodes > BRUTE_FORCE_NODE_LIMIT:
+        raise ValueError(
+            f"brute force limited to {BRUTE_FORCE_NODE_LIMIT} nodes, got {g.n_nodes}"
+        )
+    if g.n_nodes < 2:
+        raise ValueError("min_node_cut needs at least 2 nodes")
+    if is_complete(g):
+        raise CompleteGraphError("complete graphs have no vertex cut")
+    if not is_connected(g):
+        return frozenset()
+    nodes = sorted(g.nodes)
+    for size in range(1, g.n_nodes - 1):
+        for subset in combinations(nodes, size):
+            remaining = g.induced(set(nodes) - set(subset))
+            if not is_connected(remaining):
+                return frozenset(subset)
+    raise AssertionError("connected incomplete graph must have a cut")
 
 
 def assert_dissection_invariants(g: Graph, result: DissectionResult) -> None:

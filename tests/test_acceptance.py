@@ -11,7 +11,11 @@ import time
 import mpmath as mp
 import pytest
 
-from helpers import assert_cut_minimality, assert_dissection_invariants
+from helpers import (
+    assert_cut_minimality,
+    assert_dissection_invariants,
+    brute_force_min_node_cut,
+)
 from pfa.analysis import (
     PfaConfig,
     filter_by_mi,
@@ -22,7 +26,7 @@ from pfa.analysis import (
 from pfa.binning import DiscretizedFeature, discretize, discretize_all
 from pfa.cli import main as cli_main
 from pfa.depgraph import IndependenceCache, build_graph, connected_components
-from pfa.dissect import brute_force_min_node_cut, dissect, min_node_cut
+from pfa.dissect import dissect, min_node_cut
 from pfa.stats import (
     chi_square_p_value,
     chi_square_statistic,

@@ -36,6 +36,19 @@ def example2_csv(tmp_path_factory):
     return path
 
 
+@pytest.fixture(scope="module")
+def example4_csv(tmp_path_factory):
+    path = tmp_path_factory.mktemp("data") / "example4.csv"
+    assert (
+        run_cli(
+            "synth", "--scenario", "example4", "--n", "5000",
+            "--seed", "0", "--out", str(path),
+        )
+        == 0
+    )
+    return path
+
+
 def read_outputs(prefix):
     with open(f"{prefix}.features.txt") as fh:
         features = [int(line) for line in fh.read().splitlines()]
@@ -135,6 +148,19 @@ class TestRunCommand:
         )
         assert code == 1
 
+    @pytest.mark.parametrize("command", ["run", "robust"])
+    def test_theta_without_outputs_rejected_before_ingest(
+        self, command, tmp_path, capsys
+    ):
+        # the input does not exist: only a check made before load_csv can
+        # report the flag instead of the missing file
+        code = run_cli(
+            command, "--input", str(tmp_path / "absent.csv"), "--n-outputs", "0",
+            "--nu", "100", "--theta", "0.1", "--out", str(tmp_path / "out"),
+        )
+        assert code == 1
+        assert "--theta needs at least one output row" in capsys.readouterr().err
+
 
 class TestRobustCommand:
     def test_example1_intersection(self, example1_csv, tmp_path):
@@ -149,6 +175,24 @@ class TestRobustCommand:
         assert features == [1, 2, 3]
         assert report["intersection"] == [1, 2, 3]
         assert len(report["runs"]) == 5
+
+    def test_logs_guard_warnings_like_run(self, example4_csv, tmp_path, capsys):
+        logged = {}
+        for command in ("run", "robust"):
+            code = run_cli(
+                command, "--input", str(example4_csv), "--n-outputs", "1",
+                "--nu", "100", "--out", str(tmp_path / command),
+            )
+            assert code == 0
+            logged[command] = [
+                line for line in capsys.readouterr().err.splitlines()
+                if line.startswith("pfa: warning:")
+            ]
+        # five subsample runs each flag pair 2-3; robust logs it once
+        assert logged["robust"] == logged["run"] == [
+            "pfa: warning: expected frequency below 5.0 for pair 2-3; "
+            "consider increasing nu"
+        ]
 
     def test_bad_fraction_rejected(self, example1_csv, tmp_path):
         code = run_cli(

@@ -34,6 +34,11 @@ class TestLoadCsv:
         with pytest.raises(DatasetError, match="row 2, column 3"):
             load_csv(write(tmp_path, "1,2,3\n4,5,x\n"), n_outputs=0)
 
+    def test_digit_separator_rejected(self, tmp_path):
+        # float() would read 1_0 as 10.0
+        with pytest.raises(DatasetError, match="'1_0' at row 2, column 2"):
+            load_csv(write(tmp_path, "1,2,3\n4,1_0,6\n"), n_outputs=0)
+
     def test_nan_rejected(self, tmp_path):
         with pytest.raises(DatasetError, match="non-finite"):
             load_csv(write(tmp_path, "1,nan\n"), n_outputs=0)

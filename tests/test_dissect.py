@@ -1,16 +1,18 @@
+import hashlib
+
+import networkx as nx
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import assert_cut_minimality, assert_dissection_invariants
-from pfa.depgraph import Graph, is_connected
-from pfa.dissect import (
-    CompleteGraphError,
+from helpers import (
+    assert_cut_minimality,
+    assert_dissection_invariants,
     brute_force_min_node_cut,
-    dissect,
-    min_node_cut,
+    random_graph,
 )
-from pfa.synth import random_graph
+from pfa.depgraph import Graph, is_complete, is_connected
+from pfa.dissect import CompleteGraphError, dissect, min_node_cut
 
 
 def path(*nodes):
@@ -97,6 +99,61 @@ class TestOracleEquivalence:
         cut = min_node_cut(g, tie_seed=tie_seed)
         assert len(cut) == len(brute_force_min_node_cut(g))
         assert not is_connected(g.induced(set(g.nodes) - cut))
+
+
+def to_networkx(g):
+    nxg = nx.Graph()
+    nxg.add_nodes_from(g.nodes)
+    nxg.add_edges_from(g.edges())
+    return nxg
+
+
+class TestNetworkxOracle:
+    """Cut sizes beyond the brute-force limit, against networkx's own max flow."""
+
+    def test_cut_size_matches_node_connectivity(self):
+        checked = 0
+        for seed in range(120):
+            n = 15 + seed % 31
+            p = 0.15 + 0.05 * (seed % 7)
+            g = random_graph(n, p, seed=seed)
+            if not is_connected(g) or is_complete(g):
+                continue
+            connectivity = nx.node_connectivity(to_networkx(g))
+            for tie_seed in (None, seed % 5):
+                cut = min_node_cut(g, tie_seed=tie_seed)
+                assert len(cut) == connectivity, f"seed {seed}, tie seed {tie_seed}"
+                assert not is_connected(g.induced(set(g.nodes) - cut))
+                checked += 1
+        assert checked >= 200
+
+
+def pinned_corpus():
+    """Random graphs of 15-60 nodes, sparse to dense, some disconnected."""
+    for seed in range(40):
+        n = 15 + (seed * 17) % 46
+        p = 0.1 + 0.1 * (seed % 4)
+        yield random_graph(n, p, seed=seed)
+
+
+class TestPinnedCuts:
+    # sha256 of the removal logs below as computed by the dict-based
+    # Edmonds-Karp engine this bitset search replaced
+    REMOVAL_LOG_SHA256 = (
+        "0e799e8d0fc423edb788376e92e3e87d5253f888f816ff2d9111f68f53d7342e"
+    )
+
+    def test_removal_logs_match_the_reference_engine(self):
+        digest = hashlib.sha256()
+        for g in pinned_corpus():
+            for tie_seed in (None, 0, 1, 2, 3):
+                result = dissect(g, tie_seed)
+                log = [
+                    (r.step, sorted(r.nodes), sorted(r.from_component))
+                    for r in result.removals
+                ]
+                digest.update(repr(log).encode())
+        assert digest.hexdigest() == self.REMOVAL_LOG_SHA256
 
 
 class TestDissect:

@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from pfa.synth import DagSpec, SynthSpec, generate, random_dag, random_graph
+from helpers import random_graph
+from pfa.synth import DagSpec, SynthSpec, generate, random_dag
 
 
 class TestScenarios:
