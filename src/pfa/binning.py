@@ -47,8 +47,9 @@ class DiscretizedFeature:
 def discretize(values, nu: int) -> DiscretizedFeature:
     """Bin one variable's values so every bin holds >= nu points.
 
-    Ties in the value order are broken by original point index (stable
-    sort); the resulting partition depends only on the values.
+    Every bin boundary falls between two distinct values, so equal values
+    share a bin whatever their order in the sort; the partition depends only
+    on the values, and no stable sort is needed.
     """
     values = np.asarray(values, dtype=np.float64)
     if values.size == 0:
@@ -59,7 +60,7 @@ def discretize(values, nu: int) -> DiscretizedFeature:
     if values.max() <= values.min():
         return DiscretizedFeature(np.zeros(values.size, dtype=np.int64), 1, True)
 
-    order = np.argsort(values, kind="stable")
+    order = np.argsort(values)
     ordered = values[order]
     n = values.size
 
@@ -80,11 +81,8 @@ def discretize(values, nu: int) -> DiscretizedFeature:
         boundaries.append(end)
         i = end
 
-    bin_in_order = np.empty(n, dtype=np.int64)
-    start = 0
-    for b, end in enumerate(boundaries):
-        bin_in_order[start:end] = b
-        start = end
+    sizes = np.diff(boundaries, prepend=0)
+    bin_in_order = np.repeat(np.arange(len(boundaries), dtype=np.int64), sizes)
 
     bin_of_point = np.empty(n, dtype=np.int64)
     bin_of_point[order] = bin_in_order

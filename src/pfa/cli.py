@@ -113,6 +113,9 @@ def _write_outputs(out_prefix: str, features, report: dict) -> None:
 def _build_config(args) -> analysis.PfaConfig:
     if args.theta is not None and args.n_outputs < 1:
         raise ValueError("--theta needs at least one output row (--n-outputs >= 1)")
+    if args.theta is not None and args.command == "robust":
+        # robust_intersection applies no MI filter, so the flag would be ignored
+        raise ValueError("robust does not apply --theta; use run for an MI threshold")
     return analysis.PfaConfig(
         nu=args.nu,
         alpha=args.alpha,

@@ -11,6 +11,7 @@ module treats it as such.
 from __future__ import annotations
 
 import csv
+import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -97,9 +98,54 @@ def _plain_lines(fh):
 def load_csv(path, n_outputs: int = 1) -> Dataset:
     """Read a dataset from the headerless variables-by-points CSV layout.
 
-    Cells are parsed as 64-bit floats.  Rejects ragged rows, non-numeric or
-    non-finite cells and empty files.
+    Cells are parsed as 64-bit floats.  Rejects ragged rows, blank lines and
+    non-numeric or non-finite cells, each with its row (and column), and
+    empty files.
+
+    The file is first parsed whole by ``np.loadtxt``, which reads a number
+    the way ``float()`` does.  Its result is kept only when it is certain to
+    equal the per-cell parser's: the parse succeeded without a warning, the
+    file has no ``_`` and no blank line, and every value is finite.  Any
+    other file, whether malformed or merely unusual (quoted cells, non-ASCII
+    digits), is read again by the per-cell parser, which accepts it or
+    reports the first bad cell.
     """
+    values = _load_whole_rows(path)
+    if values is None:
+        values = _load_cells(path)
+    return Dataset(values, n_outputs)
+
+
+def _nonblank_plain_lines(fh):
+    """``_plain_lines``, raising ``DatasetError`` on a blank line as well."""
+    for line in _plain_lines(fh):
+        if not line.strip():
+            raise DatasetError("blank line")
+        yield line
+
+
+def _load_whole_rows(path) -> np.ndarray | None:
+    """The file's matrix by numpy's row parser, or None to parse it per cell."""
+    with open(path, newline="", encoding="utf-8") as fh, warnings.catch_warnings():
+        # loadtxt warns (and returns an empty array) on a file without data
+        warnings.simplefilter("error")
+        try:
+            values = np.loadtxt(
+                _nonblank_plain_lines(fh),
+                delimiter=",",
+                dtype=np.float64,
+                ndmin=2,
+                comments=None,
+            )
+        except (ValueError, Warning, DatasetError):
+            return None
+    if values.size == 0 or not np.isfinite(values).all():
+        return None
+    return values
+
+
+def _load_cells(path) -> np.ndarray:
+    """Parse cell by cell with ``float()``; raises on the first bad cell."""
     rows: list[list[float]] = []
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.reader(_plain_lines(fh))
@@ -124,14 +170,14 @@ def load_csv(path, n_outputs: int = 1) -> Dataset:
             rows.append(parsed)
     if not rows or not rows[0]:
         raise DatasetError(f"empty dataset file: {path}")
-    return Dataset(np.array(rows, dtype=np.float64), n_outputs)
+    return np.array(rows, dtype=np.float64)
 
 
 def save_csv(ds: Dataset, path) -> None:
     """Write a dataset in the interchange CSV layout; round-trips bit-exactly."""
     with open(path, "w", newline="", encoding="utf-8") as fh:
         for row in ds.values:
-            fh.write(",".join(repr(float(v)) for v in row))
+            fh.write(",".join(map(repr, row.tolist())))
             fh.write("\n")
 
 

@@ -69,7 +69,7 @@ def chi_square_statistic(table: ContingencyTable) -> float:
     cells = (table.observed - table.expected) ** 2 / table.expected
     # fsum is exact, so the statistic is identical for a table and its
     # transpose (the cell values agree exactly, only their order differs)
-    return math.fsum(cells.ravel())
+    return math.fsum(cells.ravel().tolist())
 
 
 def _lower_gamma_series(a: float, x: float) -> float:
@@ -185,4 +185,4 @@ def mutual_information(a: DiscretizedFeature, b: DiscretizedFeature) -> float:
     p_prod = np.outer(table.row_marginals, table.col_marginals) / (table.n**2)
     mask = p_joint > 0.0
     terms = p_joint[mask] * np.log(p_joint[mask] / p_prod[mask])
-    return max(0.0, math.fsum(terms))  # fsum keeps MI(a,b) == MI(b,a) exact
+    return max(0.0, math.fsum(terms.tolist()))  # fsum keeps MI(a,b) == MI(b,a) exact

@@ -1,8 +1,12 @@
-"""Test-only oracles, random graphs and verification helpers for dissection."""
+"""Test-only oracles, random graphs and verification helpers."""
 
+import csv
 import random
 from itertools import combinations
 
+import numpy as np
+
+from pfa.dataset import Dataset, DatasetError
 from pfa.depgraph import Graph, connected_components, is_complete, is_connected
 from pfa.dissect import CompleteGraphError, DissectionResult
 
@@ -111,3 +115,90 @@ def assert_cut_minimality(g: Graph, result: DissectionResult, max_size: int = 3)
                 assert is_connected(rest), (
                     f"subset {subset} of cut {sorted(removal.nodes)} already disconnects"
                 )
+
+
+# --- oracles for the numpy fast paths of ingest, export and binning ------
+# Each is the implementation that preceded the fast path, kept verbatim.
+
+
+def _plain_lines(fh):
+    for row_no, line in enumerate(fh, start=1):
+        if "_" in line:
+            cells = line.rstrip("\r\n").split(",")
+            col_no, cell = next((c, v) for c, v in enumerate(cells, start=1) if "_" in v)
+            raise DatasetError(
+                f"non-numeric cell {cell!r} at row {row_no}, column {col_no}"
+            )
+        yield line
+
+
+def per_cell_load_csv(path, n_outputs: int = 1) -> Dataset:
+    """Oracle for ``load_csv``: csv.reader and ``float()`` on every cell."""
+    rows: list[list[float]] = []
+    with open(path, newline="", encoding="utf-8") as fh:
+        reader = csv.reader(_plain_lines(fh))
+        for row_no, record in enumerate(reader, start=1):
+            if rows and len(record) != len(rows[0]):
+                raise DatasetError(
+                    f"row {row_no} has {len(record)} columns, expected {len(rows[0])}"
+                )
+            parsed = []
+            for col_no, cell in enumerate(record, start=1):
+                try:
+                    value = float(cell)
+                except ValueError:
+                    raise DatasetError(
+                        f"non-numeric cell {cell!r} at row {row_no}, column {col_no}"
+                    ) from None
+                if not np.isfinite(value):
+                    raise DatasetError(
+                        f"non-finite cell {cell!r} at row {row_no}, column {col_no}"
+                    )
+                parsed.append(value)
+            rows.append(parsed)
+    if not rows or not rows[0]:
+        raise DatasetError(f"empty dataset file: {path}")
+    return Dataset(np.array(rows, dtype=np.float64), n_outputs)
+
+
+def per_value_csv_text(values) -> str:
+    """Oracle for the bytes ``save_csv`` writes: ``repr(float(v))`` per value."""
+    return "".join(",".join(repr(float(v)) for v in row) + "\n" for row in values)
+
+
+def stable_sort_bins(values, nu: int) -> tuple[np.ndarray, int]:
+    """Oracle for ``discretize``: the stable-sort boundary walk and slice fill.
+
+    Returns ``(bin_of_point, n_bins)``; constant input is not handled.
+    """
+    values = np.asarray(values, dtype=np.float64)
+    order = np.argsort(values, kind="stable")
+    ordered = values[order]
+    n = values.size
+
+    boundaries = []  # exclusive end position of each closed bin
+    i = 0
+    while i < n:
+        if n - i < nu:
+            # trailing remainder: merge into the last full bin
+            if boundaries:
+                boundaries[-1] = n
+            else:
+                boundaries.append(n)
+            break
+        end = i + nu
+        # extend across ties so equal values stay in one bin
+        while end < n and ordered[end] == ordered[end - 1]:
+            end += 1
+        boundaries.append(end)
+        i = end
+
+    bin_in_order = np.empty(n, dtype=np.int64)
+    start = 0
+    for b, end in enumerate(boundaries):
+        bin_in_order[start:end] = b
+        start = end
+
+    bin_of_point = np.empty(n, dtype=np.int64)
+    bin_of_point[order] = bin_in_order
+    return bin_of_point, len(boundaries)

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from helpers import stable_sort_bins
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -93,6 +94,35 @@ class TestProperties:
         finer = discretize(values, nu)
         coarser = discretize(values, nu + 1)
         assert coarser.n_bins <= finer.n_bins
+
+
+class TestMatchesStableSortWalk:
+    @pytest.mark.parametrize("seed", range(20))
+    def test_heavy_ties(self, seed):
+        # few distinct values (with -0.0 tied to 0.0) over many points, so
+        # the sort's order inside each tie run is free to differ
+        rng = np.random.default_rng(seed)
+        pool = np.array([-0.0, 0.0, 1.0, 2.5, -3.0, 1e-300, 7.0, 7.0 + 2**-49])
+        for _ in range(15):
+            n = int(rng.integers(2, 3000))
+            values = rng.choice(pool[: rng.integers(2, len(pool) + 1)], size=n)
+            nu = int(rng.integers(1, n + 50))  # n < nu included
+            if values.max() <= values.min():
+                continue
+            feature = discretize(values, nu)
+            bins, n_bins = stable_sort_bins(values, nu)
+            assert feature.n_bins == n_bins
+            assert np.array_equal(feature.bin_of_point, bins)
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_continuous_with_repeats(self, seed):
+        rng = np.random.default_rng(100 + seed)
+        values = np.round(rng.normal(size=20_000), 2)  # ~800 distinct values
+        for nu in (1, 7, 250, 19_999, 20_001):
+            feature = discretize(values, nu)
+            bins, n_bins = stable_sort_bins(values, nu)
+            assert feature.n_bins == n_bins
+            assert np.array_equal(feature.bin_of_point, bins)
 
 
 class TestDiscretizeAll:

@@ -161,6 +161,17 @@ class TestRunCommand:
         assert code == 1
         assert "--theta needs at least one output row" in capsys.readouterr().err
 
+    def test_robust_theta_rejected_before_ingest(self, tmp_path, capsys):
+        # robust applies no MI filter; the input does not exist, so only a
+        # check made before load_csv can report the flag
+        code = run_cli(
+            "robust", "--input", str(tmp_path / "absent.csv"), "--n-outputs", "1",
+            "--nu", "100", "--theta", "0.1", "--out", str(tmp_path / "out"),
+        )
+        assert code == 1
+        assert "robust does not apply --theta" in capsys.readouterr().err
+        assert not (tmp_path / "out.report.json").exists()
+
 
 class TestRobustCommand:
     def test_example1_intersection(self, example1_csv, tmp_path):

@@ -1,5 +1,8 @@
+import warnings
+
 import numpy as np
 import pytest
+from helpers import per_cell_load_csv, per_value_csv_text
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -52,7 +55,98 @@ class TestLoadCsv:
             load_csv(tmp_path / "nope.csv")
 
 
+# Inputs on which load_csv must agree with the per-cell parser: the same
+# values, or the same DatasetError message.  Several are accepted by
+# np.loadtxt but rejected per cell (blank lines, non-finite values), or the
+# other way round (quoted cells, non-ASCII digits).
+DIFFERENTIAL_INPUTS = {
+    "blank_line_in_middle": "1,2\n\n3,4\n",
+    "blank_line_at_end": "1,2\n\n",
+    "only_newline": "\n",
+    "empty_file": "",
+    "nan": "1,nan\n",
+    "infinity": "1,Infinity\n",
+    "overflow": "1,1e400\n",
+    "digit_separator": "1,1_0\n",
+    "bad_cell_before_separator": "1,x\n1,1_0\n",
+    "ragged_row": "1,2,3\n4,5\n",
+    "trailing_comma": "1,2,\n3,4,\n",
+    "space_only": " \n",
+    "two_numbers_in_a_cell": "1 2,3\n",
+    "quoted_cell": '"1",2\n',
+    "arabic_indic_digit": "\u0661,2\n",
+    "tab_padded_cell": "\t1.5\t,2\n",
+    "plus_point_five": "+.5,2\n",
+    "subnormal": "2e-320,1\n",
+    "crlf_endings": "1,2\r\n3,4\r\n",
+    "cr_endings": "1,2\r3,4\r",
+    "single_row": "1,2,3\n",
+    "single_column": "1\n2\n3\n",
+}
+
+
+class TestLoadCsvMatchesPerCellParser:
+    @pytest.mark.parametrize("text", DIFFERENTIAL_INPUTS.values(), ids=DIFFERENTIAL_INPUTS)
+    def test_same_values_or_same_error(self, tmp_path, text):
+        path = tmp_path / "data.csv"
+        path.write_bytes(text.encode("utf-8"))
+        try:
+            expected = per_cell_load_csv(path, n_outputs=0)
+        except DatasetError as exc:
+            expected = exc
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            if isinstance(expected, DatasetError):
+                with pytest.raises(DatasetError) as raised:
+                    load_csv(path, n_outputs=0)
+                assert str(raised.value) == str(expected)
+            else:
+                got = load_csv(path, n_outputs=0)
+                assert got.values.shape == expected.values.shape
+                assert np.array_equal(
+                    got.values.view(np.uint64), expected.values.view(np.uint64)
+                )
+        assert caught == [], "a warning of the fast path leaked"
+
+    def test_plain_file_is_not_parsed_per_cell(self, tmp_path, monkeypatch):
+        def per_cell(path):
+            raise AssertionError("the per-cell parser ran on a plain file")
+
+        monkeypatch.setattr("pfa.dataset._load_cells", per_cell)
+        ds = generate(SynthSpec("example1", 200, seed=1))
+        path = tmp_path / "ex1.csv"
+        save_csv(ds, path)
+        assert load_csv(path, n_outputs=0) == ds
+
+
+def random_finite_values(seed: int, shape=(7, 300)) -> np.ndarray:
+    """Random float64 bit patterns, made finite, with edge values in row 0."""
+    rng = np.random.default_rng(seed)
+    bits = rng.integers(0, np.iinfo(np.uint64).max, size=shape, dtype=np.uint64, endpoint=True)
+    exponent = (bits >> np.uint64(52)) & np.uint64(0x7FF)
+    bits[exponent == 0x7FF] ^= np.uint64(1 << 62)  # inf/nan -> a finite value
+    values = bits.view(np.float64)
+    values[0, :8] = [-0.0, 0.0, 5e-324, -2.5e-320, 2.2250738585072014e-308,
+                     1.7e308, -1.7e308, 1.7976931348623157e308]
+    assert np.isfinite(values).all()
+    return values
+
+
 class TestRoundTrip:
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_random_bit_patterns_round_trip_bit_exactly(self, tmp_path, seed):
+        values = random_finite_values(seed)
+        path = tmp_path / "bits.csv"
+        save_csv(Dataset(values, n_outputs=0), path)
+        again = load_csv(path, n_outputs=0)
+        assert np.array_equal(again.values.view(np.uint64), values.view(np.uint64))
+
+    def test_save_csv_writes_repr_of_each_value(self, tmp_path):
+        values = random_finite_values(3)
+        path = tmp_path / "bits.csv"
+        save_csv(Dataset(values, n_outputs=0), path)
+        assert path.read_bytes() == per_value_csv_text(values).encode("utf-8")
+
     def test_example1_export_round_trips_bit_identically(self, tmp_path):
         ds = generate(SynthSpec("example1", 5000, seed=42))
         path = tmp_path / "ex1.csv"
