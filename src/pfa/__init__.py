@@ -1,9 +1,14 @@
 """Principal feature analysis: select the independent argument features of a
-dataset via pairwise independence tests and minimal-cut graph dissection."""
+dataset via pairwise independence tests and minimal-cut graph dissection.
+
+``analyze`` runs the whole pipeline.  The function ``dissect`` is not
+re-exported, so ``pfa.dissect`` is the submodule.
+"""
 
 from .analysis import (
     PfaConfig,
     PfaResult,
+    analyze,
     explain_feature,
     filter_by_mi,
     filter_relevant,
@@ -23,7 +28,6 @@ from .dissect import (
     CompleteGraphError,
     DissectionResult,
     Removal,
-    dissect,
     min_node_cut,
 )
 from .stats import (
@@ -53,6 +57,7 @@ __all__ = [
     "PfaResult",
     "Removal",
     "SynthSpec",
+    "analyze",
     "build_graph",
     "chi_square_p_value",
     "chi_square_statistic",
@@ -60,7 +65,6 @@ __all__ = [
     "contingency",
     "discretize",
     "discretize_all",
-    "dissect",
     "explain_feature",
     "filter_by_mi",
     "filter_relevant",

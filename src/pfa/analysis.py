@@ -5,7 +5,9 @@ feature nodes into sublists of at most ``ns`` nodes, dissects each
 sublist's dependency graph, and repeats on the survivors.  Once a full
 pass removes nothing, the total graph of the remaining nodes is dissected
 one final time.  All pairwise verdicts live in one shared cache, so no
-pair is ever tested twice.
+pair is ever tested twice.  ``analyze`` is the one place that chains the
+driver with the relevance and MI filters; ``robust_intersection`` repeats
+it on subsamples.
 """
 
 from __future__ import annotations
@@ -31,11 +33,10 @@ class PfaConfig:
     ns: int = 50
     batching: str = "ordered"
     seed: int = 0
+    tie_seed: int | None = None
     min_expected: float = DEFAULT_MIN_EXPECTED
     dof_mode: str = "independence"
     theta: float | None = None
-    tie_seed: int | None = None
-    threads: int = 1
 
     def __post_init__(self):
         if self.nu < 1:
@@ -54,13 +55,15 @@ class PfaConfig:
             )
         if self.theta is not None and self.theta < 0.0:
             raise ValueError(f"theta must be >= 0, got {self.theta}")
-        if self.threads < 1:
-            raise ValueError(f"threads must be >= 1, got {self.threads}")
 
 
-@dataclass
+@dataclass(frozen=True)
 class PfaResult:
-    """Principal subgraphs plus the removal log and optional filtered sets."""
+    """Principal subgraphs plus the removal log and optional filtered sets.
+
+    Results are immutable: each filter returns a new result that shares the
+    cache and the discretization of its input.
+    """
 
     principal_subgraphs: list[frozenset[int]]
     removed: list[Removal]
@@ -68,6 +71,7 @@ class PfaResult:
     warnings: list[str]
     relevant_features: frozenset[int] | None = None
     mi_scores: dict[int, dict[int, float]] | None = None
+    theta_selected: frozenset[int] | None = None
     cache: IndependenceCache = field(repr=False, default=None)
     discretized: dict[int, DiscretizedFeature] = field(repr=False, default=None)
     n_outputs: int = 0
@@ -80,13 +84,11 @@ class PfaResult:
 
     def selected_features(self) -> frozenset[int]:
         """The most reduced feature set this result carries."""
-        if self.mi_scores is not None and self.theta_selected is not None:
+        if self.theta_selected is not None:
             return self.theta_selected
         if self.relevant_features is not None:
             return self.relevant_features
         return self.principal_features
-
-    theta_selected: frozenset[int] | None = None
 
 
 def _partition(nodes: list[int], ns: int, batching: str, rng: random.Random):
@@ -138,14 +140,14 @@ def run_pfa(ds: Dataset, cfg: PfaConfig) -> PfaResult:
         survivors: list[int] = []
         removed_in_pass = False
         for sublist in _partition(current, cfg.ns, cfg.batching, rng):
-            graph = build_graph(cache, sublist, cfg.threads)
+            graph = build_graph(cache, sublist)
             result = dissect(graph, cfg.tie_seed)
             if result.removals:
                 removed_in_pass = True
             survivors.extend(record(result))
         warnings.extend(_guard_warnings(cache, flagged))
         if not removed_in_pass:
-            graph = build_graph(cache, survivors, cfg.threads)
+            graph = build_graph(cache, survivors)
             final = dissect(graph, cfg.tie_seed)
             record(final)
             final_subgraphs = sorted(final.complete_subgraphs, key=min)
@@ -181,16 +183,16 @@ def filter_relevant(result: PfaResult, ds: Dataset, cfg: PfaConfig) -> PfaResult
         )
         if related:
             relevant.update(subgraph)
-    result.relevant_features = frozenset(relevant)
-    return result
+    return replace(result, relevant_features=frozenset(relevant))
 
 
-def filter_by_mi(result: PfaResult, ds: Dataset, theta: float) -> frozenset[int]:
-    """Relevant features whose mutual information with an output exceeds theta.
+def filter_by_mi(result: PfaResult, ds: Dataset, theta: float) -> PfaResult:
+    """Relevant features whose MI with an output exceeds theta, as a new result.
 
     Scores are recorded per feature and output; a feature passes on its
     maximum score across outputs.  Unlike relevance filtering this selects
-    individual features, not whole subgraphs.
+    individual features, not whole subgraphs.  The kept set is the new
+    result's ``theta_selected``.
     """
     if result.relevant_features is None:
         raise ValueError("run filter_relevant before filter_by_mi")
@@ -205,9 +207,24 @@ def filter_by_mi(result: PfaResult, ds: Dataset, theta: float) -> frozenset[int]
         }
         if max(scores[feature].values()) > theta:
             selected.add(feature)
-    result.mi_scores = scores
-    result.theta_selected = frozenset(selected)
-    return result.theta_selected
+    return replace(result, mi_scores=scores, theta_selected=frozenset(selected))
+
+
+def analyze(ds: Dataset, cfg: PfaConfig) -> PfaResult:
+    """The whole pipeline: dissection, relevance to the outputs, MI threshold.
+
+    Relevance filtering runs when the dataset has an output row, and the MI
+    threshold when ``cfg.theta`` is set; ``selected_features()`` of the
+    result is the final selection.
+    """
+    if cfg.theta is not None and ds.n_outputs < 1:
+        raise ValueError("theta needs at least one output row")
+    result = run_pfa(ds, cfg)
+    if ds.n_outputs >= 1:
+        result = filter_relevant(result, ds, cfg)
+        if cfg.theta is not None:
+            result = filter_by_mi(result, ds, cfg.theta)
+    return result
 
 
 def explain_feature(result: PfaResult, target: int) -> frozenset[int]:
@@ -235,8 +252,8 @@ def robust_intersection(
 ) -> tuple[frozenset[int], list[PfaResult]]:
     """Intersect feature sets over repeated runs on random subsamples.
 
-    Per-run seeds are cfg.seed + run index.  With outputs present the
-    relevant sets are intersected; without outputs, the principal sets.
+    Per-run seeds are cfg.seed + run index.  Each run is one ``analyze``
+    of its subsample, and the runs' ``selected_features()`` are intersected.
     """
     if runs < 1:
         raise ValueError(f"runs must be >= 1, got {runs}")
@@ -247,14 +264,10 @@ def robust_intersection(
         sample = subsample(ds, fraction, run_seed) if fraction < 1.0 else ds
         run_cfg = replace(cfg, seed=run_seed)
         try:
-            result = run_pfa(sample, run_cfg)
-            if ds.n_outputs >= 1:
-                result = filter_relevant(result, sample, run_cfg)
-                selected = result.relevant_features
-            else:
-                selected = result.principal_features
+            result = analyze(sample, run_cfg)
         except Exception as exc:
             raise RuntimeError(f"run {run_index} failed: {exc}") from exc
+        selected = result.selected_features()
         results.append(result)
         common = selected if common is None else common & selected
     return common, results

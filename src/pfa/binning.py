@@ -75,9 +75,9 @@ def discretize(values, nu: int) -> DiscretizedFeature:
                 boundaries.append(n)
             break
         end = i + nu
-        # extend across ties so equal values stay in one bin
-        while end < n and ordered[end] == ordered[end - 1]:
-            end += 1
+        if end < n and ordered[end] == ordered[end - 1]:
+            # extend across ties so equal values stay in one bin
+            end = int(np.searchsorted(ordered, ordered[end - 1], side="right"))
         boundaries.append(end)
         i = end
 

@@ -1,8 +1,11 @@
-"""Command-line front end: ingest -> analysis -> filtering -> reports.
+"""Command-line front end: ingest -> ``analysis.analyze`` -> reports.
 
+``run`` analyzes the whole input once; ``robust`` analyzes random
+subsamples and intersects their selections.  Both build their
+``PfaConfig`` from flags whose names and defaults are the config's fields.
 Every command is batch and deterministic: identical flags produce
-byte-identical output files at any thread count.  Per-phase timings go to
-stderr only, so they never perturb the written artifacts.
+byte-identical output files.  Timings go to stderr only, so they never
+perturb the written artifacts.
 
 Outputs of ``run`` and ``robust``:
   <out>.features.txt   selected 1-based row indices, ascending, one per line
@@ -15,32 +18,19 @@ import argparse
 import json
 import sys
 import time
+from dataclasses import asdict, fields
 
 from . import analysis, dataset, synth
 from .dissect import Removal
+from .stats import DOF_MODES
 
 
 def _log(message: str) -> None:
     print(message, file=sys.stderr)
 
 
-def _config_echo(cfg: analysis.PfaConfig, args, extra=()) -> dict:
-    echo = {
-        "input": args.input,
-        "n_outputs": args.n_outputs,
-        "nu": cfg.nu,
-        "alpha": cfg.alpha,
-        "ns": cfg.ns,
-        "batching": cfg.batching,
-        "seed": cfg.seed,
-        "tie_seed": cfg.tie_seed,
-        "min_expected": cfg.min_expected,
-        "dof_mode": cfg.dof_mode,
-        "theta": cfg.theta,
-        "threads": cfg.threads,
-    }
-    echo.update(extra)
-    return echo
+def _config_echo(cfg: analysis.PfaConfig, args, **extra) -> dict:
+    return {"input": args.input, "n_outputs": args.n_outputs, **asdict(cfg), **extra}
 
 
 def _removals_json(removals: list[Removal]) -> list[dict]:
@@ -111,36 +101,12 @@ def _write_outputs(out_prefix: str, features, report: dict) -> None:
 
 
 def _build_config(args) -> analysis.PfaConfig:
+    # checked before ingest, so a bad flag does not wait for a large input
     if args.theta is not None and args.n_outputs < 1:
         raise ValueError("--theta needs at least one output row (--n-outputs >= 1)")
-    if args.theta is not None and args.command == "robust":
-        # robust_intersection applies no MI filter, so the flag would be ignored
-        raise ValueError("robust does not apply --theta; use run for an MI threshold")
     return analysis.PfaConfig(
-        nu=args.nu,
-        alpha=args.alpha,
-        ns=args.ns,
-        batching=args.batching,
-        seed=args.seed,
-        min_expected=args.min_expected,
-        dof_mode=args.dof_mode,
-        theta=args.theta,
-        tie_seed=args.tie_seed,
-        threads=args.threads,
+        **{f.name: getattr(args, f.name) for f in fields(analysis.PfaConfig)}
     )
-
-
-def _analyze(ds: dataset.Dataset, cfg: analysis.PfaConfig) -> analysis.PfaResult:
-    started = time.perf_counter()
-    result = analysis.run_pfa(ds, cfg)
-    _log(f"pfa: analysis in {time.perf_counter() - started:.2f}s")
-    if ds.n_outputs >= 1:
-        started = time.perf_counter()
-        result = analysis.filter_relevant(result, ds, cfg)
-        if cfg.theta is not None:
-            analysis.filter_by_mi(result, ds, cfg.theta)
-        _log(f"pfa: relevance filtering in {time.perf_counter() - started:.2f}s")
-    return result
 
 
 def _log_warnings(results) -> None:
@@ -152,7 +118,9 @@ def _log_warnings(results) -> None:
 def cmd_run(args) -> int:
     cfg = _build_config(args)
     ds = dataset.load_csv(args.input, args.n_outputs)
-    result = _analyze(ds, cfg)
+    started = time.perf_counter()
+    result = analysis.analyze(ds, cfg)
+    _log(f"pfa: analysis in {time.perf_counter() - started:.2f}s")
     report = {
         "config": _config_echo(cfg, args),
         **_result_json(result),
@@ -172,9 +140,7 @@ def cmd_robust(args) -> int:
     common, results = analysis.robust_intersection(ds, cfg, args.runs, args.fraction)
     _log(f"pfa: {args.runs} runs in {time.perf_counter() - started:.2f}s")
     report = {
-        "config": _config_echo(
-            cfg, args, extra={"runs": args.runs, "fraction": args.fraction}
-        ),
+        "config": _config_echo(cfg, args, runs=args.runs, fraction=args.fraction),
         "intersection": sorted(common),
         "runs": [_result_json(result) for result in results],
     }
@@ -201,20 +167,21 @@ def _add_common_run_flags(parser: argparse.ArgumentParser) -> None:
         "--nu", type=int, required=True,
         help="minimum points per bin; dataset-dependent, no default",
     )
-    parser.add_argument("--ns", type=int, default=50, help="max nodes per subgraph")
-    parser.add_argument("--alpha", type=float, default=0.01, help="significance level")
-    parser.add_argument("--theta", type=float, default=None, help="MI threshold")
-    parser.add_argument(
-        "--batching", choices=analysis.BATCHING_MODES, default="ordered"
-    )
-    parser.add_argument("--seed", type=int, default=0)
-    parser.add_argument("--tie-seed", type=int, default=None, dest="tie_seed")
-    parser.add_argument("--min-expected", type=float, default=5.0, dest="min_expected")
-    parser.add_argument(
-        "--dof-mode", choices=("independence", "cells_minus_one"),
-        default="independence", dest="dof_mode",
-    )
-    parser.add_argument("--threads", type=int, default=1)
+    defaults = {f.name: f.default for f in fields(analysis.PfaConfig)}
+
+    def config_flag(name: str, **kwargs) -> None:
+        # one flag per PfaConfig field, with the field's name and default
+        flag = "--" + name.replace("_", "-")
+        parser.add_argument(flag, dest=name, default=defaults[name], **kwargs)
+
+    config_flag("ns", type=int, help="max nodes per subgraph")
+    config_flag("alpha", type=float, help="significance level")
+    config_flag("theta", type=float, help="MI threshold (nats)")
+    config_flag("batching", choices=analysis.BATCHING_MODES)
+    config_flag("seed", type=int)
+    config_flag("tie_seed", type=int)
+    config_flag("min_expected", type=float)
+    config_flag("dof_mode", choices=DOF_MODES)
     parser.add_argument("--out", required=True, help="output path prefix")
 
 
@@ -235,7 +202,10 @@ def build_parser() -> argparse.ArgumentParser:
     robust.set_defaults(func=cmd_robust)
 
     gen = sub.add_parser("synth", help="write a synthetic scenario dataset")
-    gen.add_argument("--scenario", required=True, choices=synth.SCENARIOS[:4])
+    gen.add_argument(
+        "--scenario", required=True,
+        choices=[s for s in synth.SCENARIOS if s != "custom"],  # custom needs a DagSpec
+    )
     gen.add_argument("--n", type=int, default=5000, help="number of data points")
     gen.add_argument("--seed", type=int, default=0)
     gen.add_argument("--out", required=True, help="output CSV path")

@@ -7,7 +7,6 @@ filtering and follow-up queries.
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 from .binning import DiscretizedFeature
@@ -58,40 +57,15 @@ class IndependenceCache:
             found = self.verdicts[key] = self._compute(key)
         return found
 
-    def compute_pairs(self, pairs: list[tuple[int, int]], threads: int = 1) -> None:
-        """Fill the cache for the given pairs, optionally in parallel.
+    def compute_pairs(self, pairs: list[tuple[int, int]]) -> None:
+        """Fill the cache for the given pairs, testing each missing pair once.
 
-        Results are inserted in the submitted order regardless of thread
-        scheduling, so the cache contents are deterministic.
+        Pairs are tested in the given order, so the cache contents and their
+        insertion order are deterministic.
         """
-        missing = []
-        seen = set()
         for i, j in pairs:
             key = self._key(i, j)
-            if key not in self.verdicts and key not in seen:
-                seen.add(key)
-                missing.append(key)
-        if not missing:
-            return
-        if threads > 1:
-            self.test_calls += len(missing)
-            with ThreadPoolExecutor(max_workers=threads) as pool:
-                chunk = max(1, len(missing) // (threads * 4))
-                results = pool.map(
-                    lambda key: is_independent(
-                        self.features[key[0]],
-                        self.features[key[1]],
-                        self.alpha,
-                        self.min_expected,
-                        self.dof_mode,
-                    ),
-                    missing,
-                    chunksize=chunk,
-                )
-                for key, verdict in zip(missing, results):
-                    self.verdicts[key] = verdict
-        else:
-            for key in missing:
+            if key not in self.verdicts:
                 self.verdicts[key] = self._compute(key)
 
 
@@ -173,13 +147,13 @@ def is_connected(g: Graph) -> bool:
     return len(connected_components(g)) == 1
 
 
-def build_graph(cache: IndependenceCache, nodes, threads: int = 1) -> Graph:
+def build_graph(cache: IndependenceCache, nodes) -> Graph:
     """Dependency graph over the given nodes; edge <=> not independent."""
     nodes = tuple(sorted(nodes))
     for n in nodes:
         if not cache.features[n].testable:
             raise ValueError(f"node {n} refers to a constant (untestable) variable")
     pairs = [(u, v) for idx, u in enumerate(nodes) for v in nodes[idx + 1 :]]
-    cache.compute_pairs(pairs, threads)
+    cache.compute_pairs(pairs)
     edges = [(u, v) for u, v in pairs if not cache.verdict(u, v).independent]
     return Graph.from_edges(nodes, edges)

@@ -1,8 +1,11 @@
 import numpy as np
 import pytest
 
+import dataclasses
+
 from pfa.analysis import (
     PfaConfig,
+    analyze,
     explain_feature,
     filter_by_mi,
     filter_relevant,
@@ -32,7 +35,6 @@ class TestPfaConfig:
             {"nu": 10, "batching": "sideways"},
             {"nu": 10, "dof_mode": "bogus"},
             {"nu": 10, "theta": -0.1},
-            {"nu": 10, "threads": 0},
         ],
     )
     def test_rejects_bad_values(self, kwargs):
@@ -130,22 +132,91 @@ class TestMiFilter:
         # leaves it with a score well under x1's
         ds = generate(SynthSpec("example4", 10_000, seed=42))
         cfg = PfaConfig(nu=500)
-        result = filter_relevant(run_pfa(ds, cfg), ds, cfg)
-        selected = filter_by_mi(result, ds, theta=0.1)
-        assert selected == {2}
+        result = filter_by_mi(filter_relevant(run_pfa(ds, cfg), ds, cfg), ds, theta=0.1)
+        assert result.theta_selected == {2}
         assert result.mi_scores[2][1] / result.mi_scores[3][1] >= 5.0
 
     def test_zero_theta_keeps_all_relevant(self):
         ds = generate(SynthSpec("example2", 5000, seed=42))
         cfg = PfaConfig(nu=100)
         result = filter_relevant(run_pfa(ds, cfg), ds, cfg)
-        assert filter_by_mi(result, ds, theta=0.0) == result.relevant_features
+        scored = filter_by_mi(result, ds, theta=0.0)
+        assert scored.theta_selected == result.relevant_features
 
     def test_needs_relevance_first(self):
         ds = generate(SynthSpec("example2", 2000, seed=0))
         result = run_pfa(ds, PfaConfig(nu=100))
         with pytest.raises(ValueError, match="filter_relevant"):
             filter_by_mi(result, ds, theta=0.1)
+
+
+class TestImmutableResults:
+    def test_filters_return_new_results(self):
+        ds = generate(SynthSpec("example4", 5000, seed=0))
+        cfg = PfaConfig(nu=100)
+        dissected = run_pfa(ds, cfg)
+        relevant = filter_relevant(dissected, ds, cfg)
+        scored = filter_by_mi(relevant, ds, theta=0.1)
+        assert dissected.relevant_features is None
+        assert relevant.mi_scores is None and relevant.theta_selected is None
+        assert scored.theta_selected == {2}
+        assert scored.relevant_features == relevant.relevant_features
+        assert scored.cache is dissected.cache
+
+    def test_result_is_frozen(self):
+        ds = generate(SynthSpec("example1", 1000, seed=0))
+        result = run_pfa(ds, PfaConfig(nu=50))
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            result.relevant_features = frozenset()
+
+
+def _outcome(result):
+    """Every field of a result except the shared cache and discretization."""
+    return (
+        result.principal_subgraphs,
+        result.removed,
+        result.constants,
+        result.warnings,
+        result.relevant_features,
+        result.mi_scores,
+        result.theta_selected,
+        result.selected_features(),
+        result.n_outputs,
+        list(result.cache.verdicts.items()),
+    )
+
+
+class TestAnalyze:
+    @pytest.mark.parametrize(
+        "scenario,theta,selected",
+        [("example2", 0.05, {2}), ("example4", 0.1, {2})],
+    )
+    def test_matches_the_filter_chain(self, scenario, theta, selected):
+        ds = generate(SynthSpec(scenario, 5000, seed=0))
+        cfg = PfaConfig(nu=100, theta=theta)
+        chained = filter_by_mi(filter_relevant(run_pfa(ds, cfg), ds, cfg), ds, theta)
+        result = analyze(ds, cfg)
+        assert _outcome(result) == _outcome(chained)
+        assert result.selected_features() == selected
+
+    def test_without_theta_stops_after_relevance(self):
+        ds = generate(SynthSpec("example4", 5000, seed=0))
+        cfg = PfaConfig(nu=100)
+        result = analyze(ds, cfg)
+        assert _outcome(result) == _outcome(filter_relevant(run_pfa(ds, cfg), ds, cfg))
+        assert result.mi_scores is None
+
+    def test_without_outputs_is_run_pfa(self):
+        ds = generate(SynthSpec("example1", 3000, seed=3))
+        cfg = PfaConfig(nu=100)
+        result = analyze(ds, cfg)
+        assert _outcome(result) == _outcome(run_pfa(ds, cfg))
+        assert result.relevant_features is None
+
+    def test_theta_without_outputs_rejected(self):
+        ds = generate(SynthSpec("example1", 1000, seed=0))
+        with pytest.raises(ValueError, match="output row"):
+            analyze(ds, PfaConfig(nu=50, theta=0.1))
 
 
 class TestExplainFeature:
@@ -184,6 +255,15 @@ class TestRobustIntersection:
         )
         assert all(r.relevant_features is not None for r in results)
         assert common <= frozenset().union(*(r.relevant_features for r in results))
+
+    def test_applies_theta_per_run(self):
+        ds = generate(SynthSpec("example4", 5000, seed=0))
+        cfg = PfaConfig(nu=100, theta=0.1)
+        common, results = robust_intersection(ds, cfg, 5, 0.95)
+        assert common == {2}
+        assert analyze(ds, cfg).selected_features() == {2}
+        assert all(r.mi_scores is not None for r in results)
+        assert common == frozenset.intersection(*(r.theta_selected for r in results))
 
     def test_rejects_bad_runs(self):
         ds = generate(SynthSpec("example1", 500, seed=0))

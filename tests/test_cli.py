@@ -1,7 +1,9 @@
+import dataclasses
 import json
 
 import pytest
 
+from pfa.analysis import PfaConfig
 from pfa.cli import main
 from pfa.dataset import load_csv
 
@@ -74,6 +76,12 @@ class TestSynthCommand:
             paths.append(out.read_bytes())
         assert paths[0] == paths[1]
 
+    def test_custom_scenario_not_offered(self, tmp_path, capsys):
+        # custom needs a DagSpec, which the command line cannot give
+        with pytest.raises(SystemExit):
+            run_cli("synth", "--scenario", "custom", "--out", str(tmp_path / "x.csv"))
+        assert "invalid choice: 'custom'" in capsys.readouterr().err
+
 
 class TestRunCommand:
     def test_example1_selects_bases(self, example1_csv, tmp_path):
@@ -120,16 +128,43 @@ class TestRunCommand:
             )
         assert blobs[0] == blobs[1]
 
-    def test_byte_identical_across_thread_counts(self, example1_csv, tmp_path):
+    def test_features_byte_identical_across_runs(self, example1_csv, tmp_path):
         blobs = []
-        for name, threads in (("t1", "1"), ("t8", "8")):
+        for name in ("first", "second"):
             prefix = tmp_path / name
             run_cli(
                 "run", "--input", str(example1_csv), "--n-outputs", "0",
-                "--nu", "100", "--threads", threads, "--out", str(prefix),
+                "--nu", "100", "--out", str(prefix),
             )
             blobs.append((tmp_path / f"{name}.features.txt").read_bytes())
         assert blobs[0] == blobs[1]
+
+    @pytest.mark.parametrize("command", ["run", "robust"])
+    def test_threads_flag_refused(self, command, tmp_path, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            run_cli(
+                command, "--input", str(tmp_path / "absent.csv"), "--nu", "100",
+                "--threads", "2", "--out", str(tmp_path / "out"),
+            )
+        assert exit_info.value.code == 2
+        assert "unrecognized arguments: --threads" in capsys.readouterr().err
+
+    def test_config_echo_holds_the_config_defaults(self, example1_csv, tmp_path):
+        prefix = tmp_path / "out"
+        run_cli(
+            "run", "--input", str(example1_csv), "--n-outputs", "0",
+            "--nu", "100", "--out", str(prefix),
+        )
+        _, report = read_outputs(prefix)
+        assert report["config"] == {
+            "input": str(example1_csv),
+            "n_outputs": 0,
+            **dataclasses.asdict(PfaConfig(nu=100)),
+        }
+        assert list(report["config"]) == [
+            "input", "n_outputs", "nu", "alpha", "ns", "batching", "seed",
+            "tie_seed", "min_expected", "dof_mode", "theta",
+        ]
 
     def test_missing_input_fails_without_artifacts(self, tmp_path):
         prefix = tmp_path / "out"
@@ -161,16 +196,6 @@ class TestRunCommand:
         assert code == 1
         assert "--theta needs at least one output row" in capsys.readouterr().err
 
-    def test_robust_theta_rejected_before_ingest(self, tmp_path, capsys):
-        # robust applies no MI filter; the input does not exist, so only a
-        # check made before load_csv can report the flag
-        code = run_cli(
-            "robust", "--input", str(tmp_path / "absent.csv"), "--n-outputs", "1",
-            "--nu", "100", "--theta", "0.1", "--out", str(tmp_path / "out"),
-        )
-        assert code == 1
-        assert "robust does not apply --theta" in capsys.readouterr().err
-        assert not (tmp_path / "out.report.json").exists()
 
 
 class TestRobustCommand:
@@ -204,6 +229,23 @@ class TestRobustCommand:
             "pfa: warning: expected frequency below 5.0 for pair 2-3; "
             "consider increasing nu"
         ]
+
+    def test_theta_applied_per_run_like_run(self, example4_csv, tmp_path):
+        selected = {}
+        for command in ("run", "robust"):
+            prefix = tmp_path / command
+            code = run_cli(
+                command, "--input", str(example4_csv), "--n-outputs", "1",
+                "--nu", "100", "--theta", "0.1", "--out", str(prefix),
+            )
+            assert code == 0
+            selected[command], report = read_outputs(prefix)
+        assert selected["robust"] == selected["run"] == [2]
+        assert report["intersection"] == [2]
+        assert report["config"]["theta"] == 0.1
+        for run in report["runs"]:
+            assert set(run["mi_scores"]) == {"2", "3"}
+            assert run["selected_features"] == [2]
 
     def test_bad_fraction_rejected(self, example1_csv, tmp_path):
         code = run_cli(

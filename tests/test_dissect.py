@@ -1,4 +1,6 @@
 import hashlib
+import importlib
+import pkgutil
 
 import networkx as nx
 import pytest
@@ -203,3 +205,16 @@ class TestDissect:
         g = random_graph(10, 0.35, seed=77)
         assert dissect(g, tie_seed=5) == dissect(g, tie_seed=5)
         assert dissect(g) == dissect(g)
+
+
+class TestPackageNamespace:
+    def test_submodules_are_not_shadowed(self):
+        # no name exported by the package may shadow one of its submodules
+        import pfa
+
+        for info in pkgutil.iter_modules(pfa.__path__):
+            module = importlib.import_module(f"pfa.{info.name}")
+            assert getattr(pfa, info.name) is module, info.name
+        import pfa.dissect as module
+
+        assert module.min_node_cut is min_node_cut
