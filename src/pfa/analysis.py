@@ -210,6 +210,11 @@ def filter_by_mi(result: PfaResult, ds: Dataset, theta: float) -> PfaResult:
     return replace(result, mi_scores=scores, theta_selected=frozenset(selected))
 
 
+def _check_theta(ds: Dataset, cfg: PfaConfig) -> None:
+    if cfg.theta is not None and ds.n_outputs < 1:
+        raise ValueError("theta needs at least one output row")
+
+
 def analyze(ds: Dataset, cfg: PfaConfig) -> PfaResult:
     """The whole pipeline: dissection, relevance to the outputs, MI threshold.
 
@@ -217,8 +222,7 @@ def analyze(ds: Dataset, cfg: PfaConfig) -> PfaResult:
     threshold when ``cfg.theta`` is set; ``selected_features()`` of the
     result is the final selection.
     """
-    if cfg.theta is not None and ds.n_outputs < 1:
-        raise ValueError("theta needs at least one output row")
+    _check_theta(ds, cfg)
     result = run_pfa(ds, cfg)
     if ds.n_outputs >= 1:
         result = filter_relevant(result, ds, cfg)
@@ -254,9 +258,12 @@ def robust_intersection(
 
     Per-run seeds are cfg.seed + run index.  Each run is one ``analyze``
     of its subsample, and the runs' ``selected_features()`` are intersected.
+    Arguments that no subsample can make valid raise ``ValueError`` before
+    the first run; a failing run raises ``RuntimeError`` naming the run.
     """
     if runs < 1:
         raise ValueError(f"runs must be >= 1, got {runs}")
+    _check_theta(ds, cfg)
     results = []
     common: frozenset[int] | None = None
     for run_index in range(runs):

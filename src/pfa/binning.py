@@ -5,11 +5,18 @@ it holds at least ``nu`` points and the next unassigned value is strictly
 greater than the bin's last value, so equal values never split across bins.
 A trailing remainder of fewer than ``nu`` points is merged into the
 preceding full bin.
+
+Bin codes are stored in the smallest unsigned dtype that holds
+``n_bins - 1`` (``uint8`` up to 256 bins, then ``uint16``/``uint32``), so a
+pair test reads an eighth of the bytes an ``int64`` code would take.
+Arithmetic on ``bin_of_point`` wraps in that dtype: widen it first, as in
+``feature.bin_of_point.astype(np.int64) * n``.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import operator
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -23,17 +30,36 @@ class DiscretizedFeature:
     ``is_constant`` marks variables whose measurements show a single value.
     A variable that ends up with a single bin for any reason (constant, or
     too few points to ever fill a bin) carries no contingency information
-    and is excluded from independence testing.
+    and is excluded from independence testing.  Codes must be integers in
+    ``[0, n_bins)``; they are kept read-only in the compact dtype of the
+    module docstring, with the points per bin in ``bin_counts`` (``int64``).
     """
 
     bin_of_point: np.ndarray
     n_bins: int
     is_constant: bool
+    bin_counts: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        bins = np.asarray(self.bin_of_point, dtype=np.int64)
-        bins.setflags(write=False)
-        object.__setattr__(self, "bin_of_point", bins)
+        # a Python int, so code arithmetic sized from it keeps its dtype
+        object.__setattr__(self, "n_bins", operator.index(self.n_bins))
+        if self.n_bins < 1:
+            raise ValueError(f"n_bins must be >= 1, got {self.n_bins}")
+        codes = np.asarray(self.bin_of_point)
+        if codes.size:
+            if codes.dtype.kind not in "iu":
+                raise ValueError(f"bin codes must be integers, got dtype {codes.dtype}")
+            low, high = int(codes.min()), int(codes.max())
+            if low < 0 or high >= self.n_bins:
+                raise ValueError(
+                    f"bin codes must lie in [0, {self.n_bins}), got {low}..{high}"
+                )
+        codes = codes.astype(np.min_scalar_type(self.n_bins - 1), copy=False)
+        codes.setflags(write=False)
+        counts = np.bincount(codes, minlength=self.n_bins)
+        counts.setflags(write=False)
+        object.__setattr__(self, "bin_of_point", codes)
+        object.__setattr__(self, "bin_counts", counts)
 
     @property
     def n_points(self) -> int:
@@ -58,7 +84,7 @@ def discretize(values, nu: int) -> DiscretizedFeature:
         raise ValueError(f"nu must be >= 1, got {nu}")
 
     if values.max() <= values.min():
-        return DiscretizedFeature(np.zeros(values.size, dtype=np.int64), 1, True)
+        return DiscretizedFeature(np.zeros(values.size, dtype=np.uint8), 1, True)
 
     order = np.argsort(values)
     ordered = values[order]
@@ -81,12 +107,14 @@ def discretize(values, nu: int) -> DiscretizedFeature:
         boundaries.append(end)
         i = end
 
+    n_bins = len(boundaries)
+    code_dtype = np.min_scalar_type(n_bins - 1)
     sizes = np.diff(boundaries, prepend=0)
-    bin_in_order = np.repeat(np.arange(len(boundaries), dtype=np.int64), sizes)
+    bin_in_order = np.repeat(np.arange(n_bins, dtype=code_dtype), sizes)
 
-    bin_of_point = np.empty(n, dtype=np.int64)
+    bin_of_point = np.empty(n, dtype=code_dtype)
     bin_of_point[order] = bin_in_order
-    return DiscretizedFeature(bin_of_point, len(boundaries), False)
+    return DiscretizedFeature(bin_of_point, n_bins, False)
 
 
 def discretize_all(ds: Dataset, nu: int) -> list[DiscretizedFeature]:

@@ -132,6 +132,8 @@ def cmd_run(args) -> int:
 
 
 def cmd_robust(args) -> int:
+    if args.runs < 1:
+        raise ValueError(f"--runs must be >= 1, got {args.runs}")
     if not 0.0 < args.fraction <= 1.0:
         raise ValueError(f"--fraction must be in (0, 1], got {args.fraction}")
     cfg = _build_config(args)

@@ -1,6 +1,7 @@
 """Test-only oracles, random graphs and verification helpers."""
 
 import csv
+import math
 import random
 from itertools import combinations
 
@@ -9,6 +10,7 @@ import numpy as np
 from pfa.dataset import Dataset, DatasetError
 from pfa.depgraph import Graph, connected_components, is_complete, is_connected
 from pfa.dissect import CompleteGraphError, DissectionResult
+from pfa.stats import IndependenceVerdict, degrees_of_freedom
 
 BRUTE_FORCE_NODE_LIMIT = 14
 
@@ -202,3 +204,106 @@ def stable_sort_bins(values, nu: int) -> tuple[np.ndarray, int]:
     bin_of_point = np.empty(n, dtype=np.int64)
     bin_of_point[order] = bin_in_order
     return bin_of_point, len(boundaries)
+
+
+# --- oracle for the pair test: the float-table chain it replaced ---------
+# Kept verbatim apart from names, the argument checks of the p-value and the
+# int64 widening of the now compact codes: a float contingency table with float
+# marginals, a math.fsum chi-square, the series / continued-fraction Q(a, x)
+# and the guard on the smallest expected cell.  Returns the same
+# IndependenceVerdict, so a verdict can be compared with ``==``.
+
+_EPS = 1e-15
+_TINY = 1e-300
+_MAX_ITER = 10_000_000
+
+
+def fsum_contingency(a, b):
+    """Oracle for ``contingency``: ``(observed, row, col, n, expected)``."""
+    if a.n_points != b.n_points:
+        raise ValueError(
+            f"mismatched point counts: {a.n_points} vs {b.n_points}"
+        )
+    n = a.n_points
+    k, l = a.n_bins, b.n_bins
+    flat = a.bin_of_point.astype(np.int64) * l + b.bin_of_point
+    observed = np.bincount(flat, minlength=k * l).reshape(k, l).astype(np.float64)
+    row = observed.sum(axis=1)
+    col = observed.sum(axis=0)
+    expected = np.outer(row, col) / n
+    return observed, row, col, n, expected
+
+
+def fsum_chi_square_statistic(observed, expected) -> float:
+    """Oracle for ``chi_square_statistic``: ``math.fsum`` over the cells."""
+    if np.any(expected <= 0.0):
+        raise ValueError("contingency table has a zero expected cell")
+    cells = (observed - expected) ** 2 / expected
+    return math.fsum(cells.ravel().tolist())
+
+
+def _lower_gamma_series(a: float, x: float) -> float:
+    term = 1.0 / a
+    total = term
+    denom = a
+    for _ in range(_MAX_ITER):
+        denom += 1.0
+        term *= x / denom
+        total += term
+        if abs(term) < abs(total) * _EPS:
+            break
+    return total * math.exp(-x + a * math.log(x) - math.lgamma(a))
+
+
+def _upper_gamma_cf(a: float, x: float) -> float:
+    b = x + 1.0 - a
+    c = 1.0 / _TINY
+    d = 1.0 / b
+    h = d
+    for i in range(1, _MAX_ITER):
+        an = -i * (i - a)
+        b += 2.0
+        d = an * d + b
+        if abs(d) < _TINY:
+            d = _TINY
+        c = b + an / c
+        if abs(c) < _TINY:
+            c = _TINY
+        d = 1.0 / d
+        delta = d * c
+        h *= delta
+        if abs(delta - 1.0) < _EPS:
+            break
+    log_prefactor = -x + a * math.log(x) - math.lgamma(a)
+    if log_prefactor < -745.0:
+        return 0.0
+    return math.exp(log_prefactor) * h
+
+
+def scalar_p_value(chi2: float, dof: int) -> float:
+    """Oracle for ``chi_square_p_value``: Q(dof / 2, chi2 / 2) in scalar math."""
+    a, x = dof / 2.0, chi2 / 2.0
+    if x == 0.0:
+        return 1.0
+    if x < a + 1.0:
+        q = 1.0 - _lower_gamma_series(a, x)
+    else:
+        q = _upper_gamma_cf(a, x)
+    return min(1.0, max(0.0, q))
+
+
+def fsum_is_independent(a, b, alpha, min_expected=5.0, dof_mode="independence"):
+    """Oracle for ``is_independent``: table, fsum, p-value, smallest-cell guard."""
+    if not a.testable or not b.testable:
+        return IndependenceVerdict(0.0, 0, 1.0, True, True)
+    observed, _, _, _, expected = fsum_contingency(a, b)
+    chi2 = fsum_chi_square_statistic(observed, expected)
+    dof = degrees_of_freedom(a.n_bins, b.n_bins, dof_mode)
+    p = scalar_p_value(chi2, dof)
+    return IndependenceVerdict(
+        chi2=chi2,
+        dof=dof,
+        p_value=p,
+        independent=p >= alpha,
+        guard_ok=bool(expected.min() >= min_expected),
+    )

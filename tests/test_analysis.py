@@ -269,3 +269,15 @@ class TestRobustIntersection:
         ds = generate(SynthSpec("example1", 500, seed=0))
         with pytest.raises(ValueError, match="runs"):
             robust_intersection(ds, PfaConfig(nu=50), runs=0, fraction=0.9)
+
+    def test_theta_without_outputs_rejected_before_any_run(self, monkeypatch):
+        # a config error is a ValueError raised before subsampling, not a
+        # RuntimeError wrapped around the first run
+        ds = generate(SynthSpec("example1", 1000, seed=0))
+
+        def no_subsample(*args):
+            raise AssertionError("subsampled before validating theta")
+
+        monkeypatch.setattr("pfa.analysis.subsample", no_subsample)
+        with pytest.raises(ValueError, match="theta needs at least one output row"):
+            robust_intersection(ds, PfaConfig(nu=50, theta=0.1), 2, 0.9)

@@ -4,8 +4,9 @@ from helpers import stable_sort_bins
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pfa.binning import discretize, discretize_all
+from pfa.binning import DiscretizedFeature, discretize, discretize_all
 from pfa.dataset import Dataset
+from pfa.stats import is_independent
 from pfa.synth import SynthSpec, generate
 
 
@@ -54,6 +55,56 @@ class TestDiscretize:
             discretize([1.0, 2.0], nu=0)
 
 
+class TestDiscretizedFeature:
+    @pytest.mark.parametrize(
+        "n_bins, dtype",
+        [(1, np.uint8), (256, np.uint8), (257, np.uint16), (65_536, np.uint16),
+         (65_537, np.uint32)],
+    )
+    def test_codes_in_smallest_unsigned_dtype(self, n_bins, dtype):
+        codes = np.arange(n_bins, dtype=np.int64)
+        feature = DiscretizedFeature(codes, n_bins, n_bins == 1)
+        assert feature.bin_of_point.dtype == dtype
+        assert np.array_equal(feature.bin_of_point, codes)
+        assert feature.bin_counts.dtype == np.int64
+        assert feature.bin_counts.tolist() == [1] * n_bins
+
+    @pytest.mark.parametrize(
+        "codes, n_bins",
+        [([0, 300], 256), ([0, 1, 3], 3), ([-1, 0, 1], 2), ([0, 2**40], 2)],
+    )
+    def test_out_of_range_codes_rejected(self, codes, n_bins):
+        # 300 would wrap to 44 in uint8 without the check
+        with pytest.raises(ValueError, match=r"\[0, "):
+            DiscretizedFeature(np.array(codes), n_bins, False)
+
+    def test_non_integer_codes_and_bin_count_rejected(self):
+        with pytest.raises(ValueError, match="integers"):
+            DiscretizedFeature(np.array([0.0, 1.0]), 2, False)
+        with pytest.raises(ValueError, match="n_bins"):
+            DiscretizedFeature(np.array([0, 0]), 0, True)
+
+    def test_numpy_integer_bin_count(self):
+        codes = np.array([0, 1, 2] * 20)
+        feature = DiscretizedFeature(codes, codes.max() + 1, False)
+        assert type(feature.n_bins) is int and feature.n_bins == 3
+        assert is_independent(feature, feature, 0.05).dof == 4
+
+    def test_codes_and_counts_read_only(self):
+        feature = discretize(np.arange(10.0), nu=3)
+        for array in (feature.bin_of_point, feature.bin_counts):
+            with pytest.raises(ValueError):
+                array[0] = 1
+
+    def test_counts_are_bin_sizes(self):
+        rng = np.random.default_rng(0)
+        values = np.round(rng.normal(size=5000), 1)
+        for nu in (1, 50, 700):
+            feature = discretize(values, nu)
+            assert feature.bin_counts.tolist() == bin_sizes(feature)
+            assert feature.bin_of_point.dtype == np.min_scalar_type(feature.n_bins - 1)
+
+
 values_lists = st.lists(
     st.floats(
         min_value=-1e6, max_value=1e6, allow_nan=False, allow_infinity=False
@@ -73,7 +124,7 @@ class TestProperties:
         assert feature.bin_of_point.max() == feature.n_bins - 1
         # monotone: smaller value never lands in a later bin
         order = np.argsort(values, kind="stable")
-        assert (np.diff(feature.bin_of_point[order]) >= 0).all()
+        assert (np.diff(feature.bin_of_point[order].astype(np.int64)) >= 0).all()
         # occupancy: once enough points exist, every bin reaches nu
         if len(values) >= nu and feature.n_bins > 1:
             assert min(sizes) >= nu

@@ -247,6 +247,18 @@ class TestRobustCommand:
             assert set(run["mi_scores"]) == {"2", "3"}
             assert run["selected_features"] == [2]
 
+    @pytest.mark.parametrize("runs", ["0", "-2"])
+    def test_bad_runs_rejected_before_ingest(self, runs, tmp_path, capsys):
+        # the input does not exist: only a check made before load_csv can
+        # report the flag instead of the missing file
+        code = run_cli(
+            "robust", "--input", str(tmp_path / "absent.csv"), "--n-outputs", "0",
+            "--nu", "100", "--runs", runs, "--out", str(tmp_path / "r"),
+        )
+        assert code == 1
+        assert f"--runs must be >= 1, got {runs}" in capsys.readouterr().err
+        assert not (tmp_path / "r.report.json").exists()
+
     def test_bad_fraction_rejected(self, example1_csv, tmp_path):
         code = run_cli(
             "robust", "--input", str(example1_csv), "--n-outputs", "0",

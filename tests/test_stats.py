@@ -3,9 +3,11 @@ import math
 import mpmath as mp
 import numpy as np
 import pytest
+from helpers import fsum_contingency, fsum_is_independent
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from pfa import stats
 from pfa.binning import DiscretizedFeature, discretize
 from pfa.stats import (
     chi_square_p_value,
@@ -50,6 +52,13 @@ class TestContingency:
         assert table.observed.shape == (1, 3)
         assert np.array_equal(table.observed[0], table.col_marginals)
         assert np.array_equal(table.observed, table.expected)
+
+    def test_constant_against_widest_uint8_partner(self):
+        # k * l = 256 does not fit the partner's uint8 codes
+        const = feature([0] * 512, n_bins=1)
+        wide = feature(np.arange(512) % 256)
+        table = contingency(const, wide)
+        assert table.observed.tolist() == [[2.0] * 256]
 
     def test_transpose_symmetry(self):
         a = feature([0, 1, 0, 1, 2, 2, 0, 1])
@@ -205,3 +214,152 @@ class TestMutualInformation:
         b = feature(rng.integers(0, 3, 100))
         assert mutual_information(a, b) == mutual_information(b, a)
         assert mutual_information(a, b) >= 0.0
+
+
+def random_feature(rng, n, n_bins, skew=0.0):
+    """Codes with every bin used; ``skew`` > 0 piles points into bin 0."""
+    codes = rng.integers(0, n_bins, n)
+    codes[rng.random(n) < skew] = 0
+    codes[rng.permutation(n)[:n_bins]] = np.arange(n_bins)
+    return DiscretizedFeature(codes, n_bins, n_bins == 1)
+
+
+class TestMatchesFsumOracle:
+    """Verdicts equal, bit for bit, those of the float-table fsum chain."""
+
+    def assert_same_verdict(self, a, b, alpha=0.01, min_expected=5.0):
+        for x, y in ((a, b), (b, a)):
+            for dof_mode in ("independence", "cells_minus_one"):
+                mine = is_independent(x, y, alpha, min_expected, dof_mode)
+                assert mine == fsum_is_independent(x, y, alpha, min_expected, dof_mode)
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_random_tables(self, seed):
+        rng = np.random.default_rng(seed)
+        for _ in range(25):
+            n = int(rng.integers(50, 20_000))
+            k = int(rng.integers(2, min(60, n // 2)))
+            l = int(rng.integers(2, min(60, n // 2)))
+            skew = float(rng.choice([0.0, 0.5, 0.95]))  # heavy ties in one bin
+            a, b = random_feature(rng, n, k, skew), random_feature(rng, n, l)
+            self.assert_same_verdict(a, b, float(rng.uniform(1e-6, 0.5)))
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_sparse_tables_and_guard(self, seed):
+        # many bins over few points: empty cells and a failing guard
+        rng = np.random.default_rng(10 + seed)
+        for _ in range(10):
+            n = int(rng.integers(200, 1000))
+            a = random_feature(rng, n, int(rng.integers(20, 100)))
+            b = random_feature(rng, n, int(rng.integers(20, 100)))
+            for min_expected in (0.01, 0.05, 0.25, 5.0):
+                self.assert_same_verdict(a, b, min_expected=min_expected)
+
+    def test_one_bin_partner(self):
+        rng = np.random.default_rng(20)
+        lone = DiscretizedFeature(np.zeros(500, dtype=np.int64), 1, True)
+        self.assert_same_verdict(lone, random_feature(rng, 500, 7))
+
+    @pytest.mark.parametrize(
+        "k, l, code, joint",
+        [
+            (256, 3, np.uint8, np.uint16),
+            (300, 250, np.uint16, np.uint32),  # joint codes past 65,536
+            (1000, 70, np.uint16, np.uint32),
+        ],
+    )
+    def test_wide_codes(self, k, l, code, joint):
+        rng = np.random.default_rng(k + l)
+        a, b = random_feature(rng, 30_000, k), random_feature(rng, 30_000, l)
+        assert a.bin_of_point.dtype == code
+        assert np.min_scalar_type(k * l) == joint
+        self.assert_same_verdict(a, b, min_expected=0.5)
+        mine = contingency(a, b)
+        observed, row, col, n, expected = fsum_contingency(a, b)
+        assert np.array_equal(mine.observed, observed)
+        assert np.array_equal(mine.row_marginals, row)
+        assert np.array_equal(mine.col_marginals, col)
+        assert np.array_equal(mine.expected, expected)
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_discretized_rows(self, seed):
+        rng = np.random.default_rng(30 + seed)
+        base = rng.normal(size=20_000)
+        rows = [
+            base,
+            np.round(base + rng.normal(size=base.size), 1),  # repeated values
+            rng.exponential(size=base.size),
+        ]
+        for nu in (40, 250, 1000):
+            features = [discretize(row, nu) for row in rows]
+            for i in range(len(features)):
+                for j in range(i + 1, len(features)):
+                    self.assert_same_verdict(features[i], features[j], 1e-3)
+
+    def test_unused_bin_rejected_like_oracle(self):
+        a = DiscretizedFeature(np.array([0, 0, 2, 2]), 3, False)
+        b = DiscretizedFeature(np.array([0, 1, 0, 1]), 2, False)
+        for test in (is_independent, fsum_is_independent):
+            with pytest.raises(ValueError, match="zero expected cell"):
+                test(a, b, 0.01)
+
+
+def random_magnitudes(rng, size, low_exp, high_exp):
+    signs = rng.choice([-1.0, 1.0], size)
+    return signs * 10.0 ** rng.uniform(low_exp, high_exp, size)
+
+
+class TestExactSum:
+    """``stats._exact_sum`` equals ``math.fsum`` bit for bit."""
+
+    SIZES = [0, 1, 2, stats._FSUM_MAX_CELLS - 1, stats._FSUM_MAX_CELLS, 2025, 6000]
+
+    @pytest.mark.parametrize("size", SIZES)
+    @pytest.mark.parametrize("seed", range(4))
+    def test_wide_magnitudes(self, size, seed):
+        rng = np.random.default_rng(seed)
+        values = random_magnitudes(rng, size, -300, 300)
+        values[rng.random(size) < 0.1] = 0.0
+        assert stats._exact_sum(values) == math.fsum(values.tolist())
+
+    @pytest.mark.parametrize("size", SIZES)
+    def test_cancellation_and_ties(self, size):
+        # near cancellation: the exact sum is tiny against the terms
+        rng = np.random.default_rng(size)
+        half = random_magnitudes(rng, size // 2, -5, 5)
+        values = np.concatenate([half, -half, [1e-20] * (size % 2)])
+        values = values[rng.permutation(values.size)]
+        assert stats._exact_sum(values) == math.fsum(values.tolist())
+        same = np.full(size, 0.1)
+        assert stats._exact_sum(same) == math.fsum(same.tolist())
+
+    @pytest.mark.parametrize("size", SIZES)
+    def test_subnormals_and_extremes(self, size):
+        rng = np.random.default_rng(size + 1)
+        tiny = np.array([5e-324, 2.2e-308, 1e-310, 2.0**-1021, 2.0**-1022])
+        huge = np.array([1e300, 2.0**997, 1.7e308])
+        for pool in (tiny, np.concatenate([tiny, [1.0, 1e-300]]), huge[:2]):
+            values = rng.choice(pool, size) * rng.choice([-1.0, 1.0], size)
+            assert stats._exact_sum(values) == math.fsum(values.tolist())
+
+    @pytest.mark.parametrize(
+        "terms, total",
+        [
+            ([1.0, 2.0**-53], 1.0),  # halfway: ties to even
+            ([1.0, 2.0**-53, 2.0**-105], 1.0 + 2.0**-52),  # just above halfway
+            ([1.0, 2.0**-53, -(2.0**-105)], 1.0),  # just below halfway
+        ],
+    )
+    def test_rounds_the_exact_sum_once(self, terms, total):
+        # adding in float order rounds 1 + 2**-53 to 1 before the last term
+        values = np.zeros(2 * stats._FSUM_MAX_CELLS)
+        values[: len(terms)] = terms
+        assert stats._exact_sum(values) == math.fsum(values.tolist()) == total
+
+    def test_chi_square_cells(self):
+        rng = np.random.default_rng(7)
+        a, b = random_feature(rng, 90_000, 45), random_feature(rng, 90_000, 45, 0.3)
+        table = contingency(a, b)
+        cells = ((table.observed - table.expected) ** 2 / table.expected).ravel()
+        assert cells.size >= stats._FSUM_MAX_CELLS
+        assert chi_square_statistic(table) == math.fsum(cells.tolist())
