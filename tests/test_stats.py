@@ -255,6 +255,20 @@ class TestMatchesFsumOracle:
             for min_expected in (0.01, 0.05, 0.25, 5.0):
                 self.assert_same_verdict(a, b, min_expected=min_expected)
 
+    @pytest.mark.parametrize("seed", range(3))
+    def test_guard_at_its_boundary(self, seed):
+        # min_expected equal to the smallest expected cell passes the guard,
+        # the next float above it fails
+        rng = np.random.default_rng(40 + seed)
+        for _ in range(10):
+            n = int(rng.integers(100, 5000))
+            a = random_feature(rng, n, int(rng.integers(2, 30)), 0.5)
+            b = random_feature(rng, n, int(rng.integers(2, 30)))
+            smallest = fsum_contingency(a, b)[4].min()
+            for min_expected in (smallest, np.nextafter(smallest, np.inf)):
+                self.assert_same_verdict(a, b, min_expected=float(min_expected))
+            assert is_independent(a, b, 0.01, float(smallest)).guard_ok
+
     def test_one_bin_partner(self):
         rng = np.random.default_rng(20)
         lone = DiscretizedFeature(np.zeros(500, dtype=np.int64), 1, True)
