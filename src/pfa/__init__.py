@@ -31,11 +31,8 @@ from .dissect import (
     min_node_cut,
 )
 from .stats import (
-    ContingencyTable,
     IndependenceVerdict,
     chi_square_p_value,
-    chi_square_statistic,
-    contingency,
     is_independent,
     mutual_information,
     regularized_upper_gamma,
@@ -44,7 +41,6 @@ from .synth import DagSpec, SynthSpec, generate, random_dag
 
 __all__ = [
     "CompleteGraphError",
-    "ContingencyTable",
     "DagSpec",
     "Dataset",
     "DatasetError",
@@ -60,9 +56,7 @@ __all__ = [
     "analyze",
     "build_graph",
     "chi_square_p_value",
-    "chi_square_statistic",
     "connected_components",
-    "contingency",
     "discretize",
     "discretize_all",
     "explain_feature",

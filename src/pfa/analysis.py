@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field, replace
+from itertools import islice
 
 from .binning import DiscretizedFeature, discretize_all
 from .dataset import Dataset, subsample
@@ -98,16 +99,14 @@ def _partition(nodes: list[int], ns: int, batching: str, rng: random.Random):
     return [ordered[i : i + ns] for i in range(0, len(ordered), ns)]
 
 
-def _guard_warnings(cache: IndependenceCache, known: set[tuple[int, int]]) -> list[str]:
-    messages = []
-    for key in cache.verdicts:
-        if key not in known and not cache.verdicts[key].guard_ok:
-            known.add(key)
-            messages.append(
-                f"expected frequency below {cache.min_expected} for pair "
-                f"{key[0]}-{key[1]}; consider increasing nu"
-            )
-    return messages
+def _guard_warnings(cache: IndependenceCache, start: int = 0) -> list[str]:
+    """One message per guard-failing verdict, from the ``start``-th cached on."""
+    return [
+        f"expected frequency below {cache.min_expected} for pair "
+        f"{i}-{j}; consider increasing nu"
+        for (i, j), verdict in islice(cache.verdicts.items(), start, None)
+        if not verdict.guard_ok
+    ]
 
 
 def run_pfa(ds: Dataset, cfg: PfaConfig) -> PfaResult:
@@ -119,8 +118,6 @@ def run_pfa(ds: Dataset, cfg: PfaConfig) -> PfaResult:
     cache = IndependenceCache(discretized, cfg.alpha, cfg.min_expected, cfg.dof_mode)
 
     removals: list[Removal] = []
-    warnings: list[str] = []
-    flagged: set[tuple[int, int]] = set()
     step = 0
     rng = random.Random(cfg.seed)
 
@@ -145,13 +142,11 @@ def run_pfa(ds: Dataset, cfg: PfaConfig) -> PfaResult:
             if result.removals:
                 removed_in_pass = True
             survivors.extend(record(result))
-        warnings.extend(_guard_warnings(cache, flagged))
         if not removed_in_pass:
             graph = build_graph(cache, survivors)
             final = dissect(graph, cfg.tie_seed)
             record(final)
             final_subgraphs = sorted(final.complete_subgraphs, key=min)
-            warnings.extend(_guard_warnings(cache, flagged))
             break
         current = survivors
 
@@ -159,7 +154,7 @@ def run_pfa(ds: Dataset, cfg: PfaConfig) -> PfaResult:
         principal_subgraphs=final_subgraphs,
         removed=removals,
         constants=constants,
-        warnings=warnings,
+        warnings=_guard_warnings(cache),
         cache=cache,
         discretized=discretized,
         n_outputs=ds.n_outputs,
@@ -170,10 +165,12 @@ def filter_relevant(result: PfaResult, ds: Dataset, cfg: PfaConfig) -> PfaResult
     """Keep whole principal subgraphs with any member related to any output.
 
     A subgraph enters the relevant set as a unit: when one member is not
-    independent of one output, every member is included.
+    independent of one output, every member is included.  Each pair test
+    this adds to the cache with a failing guard adds a warning.
     """
     if ds.n_outputs < 1:
         raise ValueError("relevance filtering needs at least one output row")
+    tested = len(result.cache.verdicts)
     relevant: set[int] = set()
     for subgraph in result.principal_subgraphs:
         related = any(
@@ -183,7 +180,11 @@ def filter_relevant(result: PfaResult, ds: Dataset, cfg: PfaConfig) -> PfaResult
         )
         if related:
             relevant.update(subgraph)
-    return replace(result, relevant_features=frozenset(relevant))
+    return replace(
+        result,
+        relevant_features=frozenset(relevant),
+        warnings=result.warnings + _guard_warnings(result.cache, tested),
+    )
 
 
 def filter_by_mi(result: PfaResult, ds: Dataset, theta: float) -> PfaResult:

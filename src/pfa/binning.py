@@ -61,6 +61,15 @@ class DiscretizedFeature:
         object.__setattr__(self, "bin_of_point", codes)
         object.__setattr__(self, "bin_counts", counts)
 
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, DiscretizedFeature):
+            return NotImplemented
+        return (
+            self.n_bins == other.n_bins
+            and self.is_constant == other.is_constant
+            and np.array_equal(self.bin_of_point, other.bin_of_point)
+        )
+
     @property
     def n_points(self) -> int:
         return len(self.bin_of_point)

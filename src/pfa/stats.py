@@ -6,9 +6,10 @@ Q is evaluated with the classic series / continued-fraction split at
 x = a + 1, which keeps absolute error below 1e-10 across the dof and
 statistic ranges this package produces.
 
-A pair test takes its marginals from the features' cached ``bin_counts``
-and its joint counts from one ``np.bincount`` over the flat code
-``a * l + b``, computed in the smallest unsigned dtype that holds ``k * l``.
+A pair test and the mutual information take their marginals from the
+features' cached ``bin_counts`` and their integer joint counts from one
+``np.bincount`` over the flat code ``a * l + b``, computed in the smallest
+unsigned dtype that holds ``k * l``.
 The chi-square statistic is an exact sum of its cells, correctly rounded
 as ``math.fsum`` is, so its bits do not depend on the order of the cells
 or on the summation method.  Large tables split each cell's mantissa
@@ -44,17 +45,6 @@ DOF_MODES = ("independence", "cells_minus_one")
 
 
 @dataclass(frozen=True)
-class ContingencyTable:
-    """Joint bin counts for a variable pair, with marginals and expectations."""
-
-    observed: np.ndarray
-    row_marginals: np.ndarray
-    col_marginals: np.ndarray
-    n: int
-    expected: np.ndarray
-
-
-@dataclass(frozen=True)
 class IndependenceVerdict:
     chi2: float
     dof: int
@@ -63,8 +53,8 @@ class IndependenceVerdict:
     guard_ok: bool
 
 
-def _joint_table(a: DiscretizedFeature, b: DiscretizedFeature):
-    """Integer joint counts, float marginals and expected counts of a pair."""
+def _joint_counts(a: DiscretizedFeature, b: DiscretizedFeature) -> np.ndarray:
+    """The pair's integer joint bin counts, a ``(k, l)`` array."""
     if a.n_points != b.n_points:
         raise ValueError(
             f"mismatched point counts: {a.n_points} vs {b.n_points}"
@@ -73,16 +63,7 @@ def _joint_table(a: DiscretizedFeature, b: DiscretizedFeature):
     # explicit dtypes: the flat code never wraps, under either NumPy casting rule
     flat = np.multiply(a.bin_of_point, l, dtype=np.min_scalar_type(k * l))
     np.add(flat, b.bin_of_point, out=flat)
-    observed = np.bincount(flat.astype(np.intp), minlength=k * l).reshape(k, l)
-    row = a.bin_counts.astype(np.float64)
-    col = b.bin_counts.astype(np.float64)
-    return observed, row, col, np.outer(row, col) / a.n_points
-
-
-def contingency(a: DiscretizedFeature, b: DiscretizedFeature) -> ContingencyTable:
-    """Joint observed counts and product-of-marginals expected counts."""
-    observed, row, col, expected = _joint_table(a, b)
-    return ContingencyTable(observed.astype(np.float64), row, col, a.n_points, expected)
+    return np.bincount(flat.astype(np.intp), minlength=k * l).reshape(k, l)
 
 
 def _exact_sum(values: np.ndarray) -> float:
@@ -113,16 +94,6 @@ def _exact_sum(values: np.ndarray) -> float:
     return math.fsum(
         np.ldexp(hi_sums, scale + 26).tolist() + np.ldexp(lo_sums, scale).tolist()
     )
-
-
-def chi_square_statistic(table: ContingencyTable) -> float:
-    """Sum over cells of (observed - expected)^2 / expected."""
-    if np.any(table.expected <= 0.0):
-        raise ValueError("contingency table has a zero expected cell")
-    cells = (table.observed - table.expected) ** 2 / table.expected
-    # the sum is exact, so the statistic is identical for a table and its
-    # transpose (the cell values agree exactly, only their order differs)
-    return _exact_sum(cells.ravel())
 
 
 def _lower_gamma_series(a: float, x: float) -> float:
@@ -214,17 +185,20 @@ def is_independent(
     minimum-expected-frequency violation is reported via guard_ok rather
     than raised: the remedy is a coarser binning, not an abort.
 
-    The result is bit for bit that of ``chi_square_statistic(contingency(a,
-    b))`` with the guard ``expected.min() >= min_expected``: the cached
-    marginals equal the table's row and column sums, and rounding is
-    monotone, so the smallest expected cell is the one of the two smallest
-    marginals.
+    The statistic sums ``(observed - expected)**2 / expected`` over the
+    joint counts, with ``expected`` the outer product of the cached bin
+    counts over n.  The guard equals ``expected.min() >= min_expected``:
+    rounding is monotone, so the smallest expected cell is the one of the
+    two smallest marginals.
     """
     if not 0.0 < alpha < 1.0:
         raise ValueError(f"alpha must be in (0, 1), got {alpha}")
     if not a.testable or not b.testable:
         return IndependenceVerdict(0.0, 0, 1.0, True, True)
-    observed, row, col, expected = _joint_table(a, b)
+    observed = _joint_counts(a, b)
+    row = a.bin_counts.astype(np.float64)
+    col = b.bin_counts.astype(np.float64)
+    expected = np.outer(row, col) / a.n_points
     row_min, col_min = row.min(), col.min()
     if row_min == 0.0 or col_min == 0.0:
         raise ValueError("contingency table has a zero expected cell")
@@ -242,9 +216,11 @@ def is_independent(
 
 def mutual_information(a: DiscretizedFeature, b: DiscretizedFeature) -> float:
     """Mutual information in nats from the pair's joint bin distribution."""
-    table = contingency(a, b)
-    p_joint = table.observed / table.n
-    p_prod = np.outer(table.row_marginals, table.col_marginals) / (table.n**2)
+    n = a.n_points
+    row = a.bin_counts.astype(np.float64)
+    col = b.bin_counts.astype(np.float64)
+    p_joint = _joint_counts(a, b) / n
+    p_prod = np.outer(row, col) / (n**2)
     mask = p_joint > 0.0
     terms = p_joint[mask] * np.log(p_joint[mask] / p_prod[mask])
     return max(0.0, math.fsum(terms.tolist()))  # fsum keeps MI(a,b) == MI(b,a) exact

@@ -206,12 +206,13 @@ def stable_sort_bins(values, nu: int) -> tuple[np.ndarray, int]:
     return bin_of_point, len(boundaries)
 
 
-# --- oracle for the pair test: the float-table chain it replaced ---------
+# --- oracles for the pair statistics: the float-table chain they replaced --
 # Kept verbatim apart from names, the argument checks of the p-value and the
 # int64 widening of the now compact codes: a float contingency table with float
 # marginals, a math.fsum chi-square, the series / continued-fraction Q(a, x)
-# and the guard on the smallest expected cell.  Returns the same
-# IndependenceVerdict, so a verdict can be compared with ``==``.
+# and the guard on the smallest expected cell.  ``fsum_is_independent``
+# returns the same IndependenceVerdict, so a verdict can be compared with
+# ``==``; ``float_table_mutual_information`` is the MI of the same table.
 
 _EPS = 1e-15
 _TINY = 1e-300
@@ -219,7 +220,7 @@ _MAX_ITER = 10_000_000
 
 
 def fsum_contingency(a, b):
-    """Oracle for ``contingency``: ``(observed, row, col, n, expected)``."""
+    """The float contingency table: ``(observed, row, col, n, expected)``."""
     if a.n_points != b.n_points:
         raise ValueError(
             f"mismatched point counts: {a.n_points} vs {b.n_points}"
@@ -234,8 +235,18 @@ def fsum_contingency(a, b):
     return observed, row, col, n, expected
 
 
+def float_table_mutual_information(a, b) -> float:
+    """Oracle for ``mutual_information``: the float table's joint and product."""
+    observed, row, col, n, _ = fsum_contingency(a, b)
+    p_joint = observed / n
+    p_prod = np.outer(row, col) / (n**2)
+    mask = p_joint > 0.0
+    terms = p_joint[mask] * np.log(p_joint[mask] / p_prod[mask])
+    return max(0.0, math.fsum(terms.tolist()))
+
+
 def fsum_chi_square_statistic(observed, expected) -> float:
-    """Oracle for ``chi_square_statistic``: ``math.fsum`` over the cells."""
+    """The chi-square statistic as ``math.fsum`` over the table's cells."""
     if np.any(expected <= 0.0):
         raise ValueError("contingency table has a zero expected cell")
     cells = (observed - expected) ** 2 / expected

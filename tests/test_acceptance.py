@@ -29,8 +29,6 @@ from pfa.depgraph import IndependenceCache, build_graph, connected_components
 from pfa.dissect import dissect, min_node_cut
 from pfa.stats import (
     chi_square_p_value,
-    chi_square_statistic,
-    contingency,
     is_independent,
     regularized_upper_gamma,
 )
@@ -147,21 +145,22 @@ def test_criterion_5_min_cut_oracle_equivalence():
 
 def test_criterion_6_chi_square_numerics():
     with criterion(6, "chi-square numerics"):
-        # identical distributions give exactly zero
+        def chi2(x, y):
+            return is_independent(x, y, alpha=0.01).chi2
+
+        # identical distributions give exactly zero: a table equal to its
+        # expectation, and a constant partner
+        assert chi2(feature([0, 0, 1, 1], 2), feature([0, 1, 0, 1], 2)) == 0.0
         const = feature([0] * 6, 1)
         other = feature([0, 0, 1, 1, 2, 2], 3)
-        assert chi_square_statistic(contingency(const, other)) == 0.0
+        assert chi2(const, other) == 0.0
         # identical two-equal-bin variable gives exactly N
         half = feature([0] * 500 + [1] * 500, 2)
-        assert chi_square_statistic(contingency(half, half)) == pytest.approx(
-            1000.0
-        )
+        assert chi2(half, half) == pytest.approx(1000.0)
         # hand-computed table [[10,20],[20,10]] gives 100/15
         a = feature([0] * 30 + [1] * 30, 2)
         b = feature([0] * 10 + [1] * 20 + [0] * 20 + [1] * 10, 2)
-        assert chi_square_statistic(contingency(a, b)) == pytest.approx(
-            100.0 / 15.0
-        )
+        assert chi2(a, b) == pytest.approx(100.0 / 15.0)
         # published critical values
         assert chi_square_p_value(3.841, 1) == pytest.approx(0.05, abs=1e-3)
         assert chi_square_p_value(13.277, 4) == pytest.approx(0.01, abs=1e-3)

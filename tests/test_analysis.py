@@ -98,6 +98,20 @@ class TestRunPfa:
         result = run_pfa(Dataset(rows, n_outputs=0), PfaConfig(nu=10))
         assert any("expected frequency" in w for w in result.warnings)
 
+    @pytest.mark.parametrize("batching", ["ordered", "random"])
+    def test_guard_warnings_follow_the_cache_once_each(self, batching):
+        # several passes over sparse tables: each failing pair is warned
+        # once, in the order it entered the cache
+        dag = random_dag(6, 14, seed=3)
+        ds = generate(SynthSpec("custom", 600, seed=1, dag=dag))
+        result = run_pfa(ds, PfaConfig(nu=15, ns=5, batching=batching, seed=4))
+        failing = [key for key, v in result.cache.verdicts.items() if not v.guard_ok]
+        assert len(failing) > 10
+        assert result.warnings == [
+            f"expected frequency below 5.0 for pair {i}-{j}; consider increasing nu"
+            for i, j in failing
+        ]
+
 
 class TestRelevanceFilter:
     def test_example2_whole_subgraph_inclusion(self):
@@ -118,6 +132,19 @@ class TestRelevanceFilter:
         result = filter_relevant(run_pfa(ds, cfg), ds, cfg)
         assert result.relevant_features == {2}
         assert result.principal_features == {2, 3}
+
+    def test_guard_failing_relevance_test_warned(self):
+        # the feature-output pair 1-2 is first tested by the filter
+        ds = generate(SynthSpec("example2", 200, seed=0))
+        cfg = PfaConfig(nu=5)
+        dissected = run_pfa(ds, cfg)
+        assert (1, 2) not in dissected.cache.verdicts
+        result = filter_relevant(dissected, ds, cfg)
+        assert not result.cache.verdicts[(1, 2)].guard_ok
+        assert result.warnings == dissected.warnings + [
+            "expected frequency below 5.0 for pair 1-2; consider increasing nu"
+        ]
+        assert analyze(ds, cfg).warnings == result.warnings
 
     def test_requires_outputs(self):
         ds = generate(SynthSpec("example1", 1000, seed=0))

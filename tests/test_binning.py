@@ -96,6 +96,17 @@ class TestDiscretizedFeature:
             with pytest.raises(ValueError):
                 array[0] = 1
 
+    def test_value_equality(self):
+        a = discretize([1.0, 2, 3, 4], 2)
+        assert a == discretize([1.0, 2, 3, 5], 2)  # same codes, other values
+        assert a == DiscretizedFeature(np.array([0, 0, 1, 1], dtype=np.int64), 2, False)
+        assert a != discretize([4.0, 3, 2, 1], 2)  # codes differ
+        assert a != DiscretizedFeature(a.bin_of_point, 3, False)  # n_bins differs
+        const = discretize([7.0] * 4, 2)
+        assert const != DiscretizedFeature(const.bin_of_point, 1, False)
+        assert a != "a feature" and a != (a.bin_of_point, 2, False)
+        assert a.__eq__(a.bin_of_point) is NotImplemented
+
     def test_counts_are_bin_sizes(self):
         rng = np.random.default_rng(0)
         values = np.round(rng.normal(size=5000), 1)

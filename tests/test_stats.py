@@ -3,7 +3,11 @@ import math
 import mpmath as mp
 import numpy as np
 import pytest
-from helpers import fsum_contingency, fsum_is_independent
+from helpers import (
+    float_table_mutual_information,
+    fsum_contingency,
+    fsum_is_independent,
+)
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -11,8 +15,6 @@ from pfa import stats
 from pfa.binning import DiscretizedFeature, discretize
 from pfa.stats import (
     chi_square_p_value,
-    chi_square_statistic,
-    contingency,
     degrees_of_freedom,
     is_independent,
     mutual_information,
@@ -37,81 +39,93 @@ def upper_gamma_by_quadrature(a: float, x: float) -> float:
     return float(mp.quad(integrand, split + [mp.inf]))
 
 
+def expected_counts(a, b):
+    """The expected cells ``is_independent`` forms from the cached bin counts."""
+    row = a.bin_counts.astype(np.float64)
+    return np.outer(row, b.bin_counts.astype(np.float64)) / a.n_points
+
+
 class TestContingency:
     def test_identical_two_bin_variable(self):
         half = feature([0] * 50 + [1] * 50)
-        table = contingency(half, half)
-        assert np.array_equal(table.observed, [[50, 0], [0, 50]])
-        assert np.array_equal(table.expected, [[25, 25], [25, 25]])
-        assert table.n == 100
+        observed = stats._joint_counts(half, half)
+        assert np.array_equal(observed, [[50, 0], [0, 50]])
+        assert np.array_equal(expected_counts(half, half), [[25, 25], [25, 25]])
+        assert half.n_points == 100
 
     def test_constant_against_three_bins(self):
         const = feature([0] * 9, n_bins=1)
         tri = feature([0, 0, 0, 1, 1, 1, 2, 2, 2])
-        table = contingency(const, tri)
-        assert table.observed.shape == (1, 3)
-        assert np.array_equal(table.observed[0], table.col_marginals)
-        assert np.array_equal(table.observed, table.expected)
+        observed = stats._joint_counts(const, tri)
+        assert observed.shape == (1, 3)
+        assert np.array_equal(observed[0], tri.bin_counts)
+        assert np.array_equal(observed, expected_counts(const, tri))
 
     def test_constant_against_widest_uint8_partner(self):
         # k * l = 256 does not fit the partner's uint8 codes
         const = feature([0] * 512, n_bins=1)
         wide = feature(np.arange(512) % 256)
-        table = contingency(const, wide)
-        assert table.observed.tolist() == [[2.0] * 256]
+        assert stats._joint_counts(const, wide).tolist() == [[2] * 256]
 
     def test_transpose_symmetry(self):
         a = feature([0, 1, 0, 1, 2, 2, 0, 1])
         b = feature([1, 1, 0, 0, 1, 0, 1, 0])
-        ab = contingency(a, b)
-        ba = contingency(b, a)
-        assert np.array_equal(ab.observed, ba.observed.T)
-        assert np.array_equal(ab.expected, ba.expected.T)
+        assert np.array_equal(stats._joint_counts(a, b), stats._joint_counts(b, a).T)
+        assert np.array_equal(expected_counts(a, b), expected_counts(b, a).T)
 
     def test_conservation(self):
         a = feature([0, 1, 2, 0, 1, 2, 0])
         b = feature([0, 0, 1, 1, 0, 1, 0])
-        table = contingency(a, b)
-        assert table.observed.sum() == table.n
-        assert math.isclose(table.expected.sum(), table.n, rel_tol=1e-12)
+        observed = stats._joint_counts(a, b)
+        assert observed.sum() == a.n_points
+        assert np.array_equal(observed.sum(axis=1), a.bin_counts)
+        assert np.array_equal(observed.sum(axis=0), b.bin_counts)
+        assert math.isclose(expected_counts(a, b).sum(), a.n_points, rel_tol=1e-12)
 
     def test_mismatched_lengths(self):
+        short, long = feature([0, 1]), feature([0, 1, 0])
+        for pair_statistic in (stats._joint_counts, mutual_information):
+            with pytest.raises(ValueError, match="mismatched"):
+                pair_statistic(short, long)
         with pytest.raises(ValueError, match="mismatched"):
-            contingency(feature([0, 1]), feature([0, 1, 0]))
+            is_independent(short, long, 0.01)
+
+
+def chi2(a, b):
+    return is_independent(a, b, alpha=0.01).chi2
 
 
 class TestChiSquareStatistic:
     def test_zero_for_matching_distributions(self):
+        # observed [[1,1],[1,1]] equals expected exactly
+        assert chi2(feature([0, 0, 1, 1]), feature([0, 1, 0, 1])) == 0.0
+        # a constant partner takes the untestable shortcut
         const = feature([0] * 6, n_bins=1)
         other = feature([0, 0, 1, 1, 2, 2])
-        assert chi_square_statistic(contingency(const, other)) == 0.0
+        assert chi2(const, other) == 0.0
 
     def test_identical_two_bin_gives_n(self):
         half = feature([0] * 500 + [1] * 500)
-        assert chi_square_statistic(contingency(half, half)) == pytest.approx(1000.0)
+        assert chi2(half, half) == pytest.approx(1000.0)
 
     def test_hand_computed_2x2(self):
         # observed [[10,20],[20,10]], expected 15 everywhere -> 100/15
         a = feature([0] * 30 + [1] * 30)
         b = feature([0] * 10 + [1] * 20 + [0] * 20 + [1] * 10)
-        assert chi_square_statistic(contingency(a, b)) == pytest.approx(100.0 / 15.0)
+        assert chi2(a, b) == pytest.approx(100.0 / 15.0)
 
     def test_exact_symmetry(self):
         rng = np.random.default_rng(0)
         a = feature(rng.integers(0, 4, 200))
         b = feature(rng.integers(0, 3, 200))
-        assert chi_square_statistic(contingency(a, b)) == chi_square_statistic(
-            contingency(b, a)
-        )
+        assert chi2(a, b) == chi2(b, a)
 
     def test_invariant_under_bin_relabeling(self):
         rng = np.random.default_rng(1)
         bins = rng.integers(0, 4, 300)
         other = feature(rng.integers(0, 3, 300))
         relabeled = feature((3 - bins))
-        assert chi_square_statistic(contingency(feature(bins), other)) == pytest.approx(
-            chi_square_statistic(contingency(relabeled, other))
-        )
+        assert chi2(feature(bins), other) == pytest.approx(chi2(relabeled, other))
 
 
 class TestPValue:
@@ -225,7 +239,7 @@ def random_feature(rng, n, n_bins, skew=0.0):
 
 
 class TestMatchesFsumOracle:
-    """Verdicts equal, bit for bit, those of the float-table fsum chain."""
+    """Verdicts and MI equal, bit for bit, those of the float-table chain."""
 
     def assert_same_verdict(self, a, b, alpha=0.01, min_expected=5.0):
         for x, y in ((a, b), (b, a)):
@@ -288,12 +302,11 @@ class TestMatchesFsumOracle:
         assert a.bin_of_point.dtype == code
         assert np.min_scalar_type(k * l) == joint
         self.assert_same_verdict(a, b, min_expected=0.5)
-        mine = contingency(a, b)
         observed, row, col, n, expected = fsum_contingency(a, b)
-        assert np.array_equal(mine.observed, observed)
-        assert np.array_equal(mine.row_marginals, row)
-        assert np.array_equal(mine.col_marginals, col)
-        assert np.array_equal(mine.expected, expected)
+        assert np.array_equal(stats._joint_counts(a, b), observed)
+        assert np.array_equal(a.bin_counts, row)
+        assert np.array_equal(b.bin_counts, col)
+        assert np.array_equal(expected_counts(a, b), expected)
 
     @pytest.mark.parametrize("seed", range(3))
     def test_discretized_rows(self, seed):
@@ -309,6 +322,19 @@ class TestMatchesFsumOracle:
             for i in range(len(features)):
                 for j in range(i + 1, len(features)):
                     self.assert_same_verdict(features[i], features[j], 1e-3)
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_mutual_information_bits(self, seed):
+        # dense, skewed, sparse, one-bin and wide-code tables
+        rng = np.random.default_rng(50 + seed)
+        shapes = [(int(rng.integers(1, 60)), int(rng.integers(1, 60))) for _ in range(40)]
+        shapes += [(1, 1), (1, 7), (300, 250), (1000, 3)]
+        for k, l in shapes:
+            n = int(rng.integers(max(k, l), 30_000))
+            a = random_feature(rng, n, k, float(rng.choice([0.0, 0.5, 0.95])))
+            b = random_feature(rng, n, l)
+            for x, y in ((a, b), (b, a)):
+                assert mutual_information(x, y) == float_table_mutual_information(x, y)
 
     def test_unused_bin_rejected_like_oracle(self):
         a = DiscretizedFeature(np.array([0, 0, 2, 2]), 3, False)
@@ -373,7 +399,7 @@ class TestExactSum:
     def test_chi_square_cells(self):
         rng = np.random.default_rng(7)
         a, b = random_feature(rng, 90_000, 45), random_feature(rng, 90_000, 45, 0.3)
-        table = contingency(a, b)
-        cells = ((table.observed - table.expected) ** 2 / table.expected).ravel()
+        observed, expected = stats._joint_counts(a, b), expected_counts(a, b)
+        cells = ((observed - expected) ** 2 / expected).ravel()
         assert cells.size >= stats._FSUM_MAX_CELLS
-        assert chi_square_statistic(table) == math.fsum(cells.tolist())
+        assert chi2(a, b) == math.fsum(cells.tolist())
