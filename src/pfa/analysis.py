@@ -2,12 +2,12 @@
 
 The driver discretizes every variable, drops constants, partitions the
 feature nodes into sublists of at most ``ns`` nodes, dissects each
-sublist's dependency graph, and repeats on the survivors.  Once a full
-pass removes nothing, the total graph of the remaining nodes is dissected
-one final time.  All pairwise verdicts live in one shared cache, so no
-pair is ever tested twice.  ``analyze`` is the one place that chains the
-driver with the relevance and MI filters; ``robust_intersection`` repeats
-it on subsamples.
+sublist's dependency graph, and repeats on the survivors until a pass
+holds them all in a single sublist: that pass is the final dissection, and
+it comes next after any pass of several sublists that removes nothing.
+All pairwise verdicts live in one shared cache, so no pair is ever tested
+twice.  ``analyze`` is the one place that chains the driver with the
+relevance and MI filters; ``robust_intersection`` repeats it on subsamples.
 """
 
 from __future__ import annotations
@@ -110,7 +110,11 @@ def _guard_warnings(cache: IndependenceCache, start: int = 0) -> list[str]:
 
 
 def run_pfa(ds: Dataset, cfg: PfaConfig) -> PfaResult:
-    """Execute the batched analysis over the dataset's feature rows."""
+    """Execute the batched analysis over the dataset's feature rows.
+
+    Passes repeat until one holds all remaining nodes in a single sublist.
+    After a pass of several sublists that removes nothing, the next one does.
+    """
     disc_rows = discretize_all(ds, cfg.nu)
     discretized = {i + 1: d for i, d in enumerate(disc_rows)}
     constants = [i for i in ds.feature_ids if not discretized[i].testable]
@@ -118,47 +122,40 @@ def run_pfa(ds: Dataset, cfg: PfaConfig) -> PfaResult:
     cache = IndependenceCache(discretized, cfg.alpha, cfg.min_expected, cfg.dof_mode)
 
     removals: list[Removal] = []
-    step = 0
     rng = random.Random(cfg.seed)
-
-    def record(result) -> list[int]:
-        nonlocal step
-        survivors = []
-        for removal in result.removals:
-            step += 1
-            removals.append(replace(removal, step=step))
-        for subgraph in result.complete_subgraphs:
-            survivors.extend(subgraph)
-        return survivors
-
-    current = nodes
-    final_subgraphs: list[frozenset[int]] = []
+    current, ns = nodes, cfg.ns
     while True:
-        survivors: list[int] = []
-        removed_in_pass = False
-        for sublist in _partition(current, cfg.ns, cfg.batching, rng):
-            graph = build_graph(cache, sublist)
-            result = dissect(graph, cfg.tie_seed)
-            if result.removals:
-                removed_in_pass = True
-            survivors.extend(record(result))
-        if not removed_in_pass:
-            graph = build_graph(cache, survivors)
-            final = dissect(graph, cfg.tie_seed)
-            record(final)
-            final_subgraphs = sorted(final.complete_subgraphs, key=min)
+        sublists = _partition(current, ns, cfg.batching, rng)
+        removed_before = len(removals)
+        subgraphs: list[frozenset[int]] = []
+        for sublist in sublists:
+            result = dissect(build_graph(cache, sublist), cfg.tie_seed)
+            removals.extend(result.removals)
+            subgraphs.extend(result.complete_subgraphs)
+        # a pass over a single sublist dissected the whole remaining graph
+        if len(sublists) <= 1:
             break
-        current = survivors
+        if len(removals) == removed_before:
+            ns = len(current)
+        current = [node for subgraph in subgraphs for node in subgraph]
 
     return PfaResult(
-        principal_subgraphs=final_subgraphs,
-        removed=removals,
+        principal_subgraphs=subgraphs,
+        removed=[replace(r, step=step) for step, r in enumerate(removals, 1)],
         constants=constants,
         warnings=_guard_warnings(cache),
         cache=cache,
         discretized=discretized,
         n_outputs=ds.n_outputs,
     )
+
+
+def _check_dataset(result: PfaResult, ds: Dataset) -> None:
+    if ds.n_outputs != result.n_outputs or ds.n_rows != len(result.discretized):
+        raise ValueError(
+            f"dataset has {ds.n_outputs} output rows and {ds.n_rows} rows, but the "
+            f"result has {result.n_outputs} and {len(result.discretized)}"
+        )
 
 
 def filter_relevant(result: PfaResult, ds: Dataset, cfg: PfaConfig) -> PfaResult:
@@ -168,8 +165,9 @@ def filter_relevant(result: PfaResult, ds: Dataset, cfg: PfaConfig) -> PfaResult
     independent of one output, every member is included.  Each pair test
     this adds to the cache with a failing guard adds a warning.
     """
-    if ds.n_outputs < 1:
+    if result.n_outputs < 1:
         raise ValueError("relevance filtering needs at least one output row")
+    _check_dataset(result, ds)
     tested = len(result.cache.verdicts)
     relevant: set[int] = set()
     for subgraph in result.principal_subgraphs:
@@ -197,6 +195,7 @@ def filter_by_mi(result: PfaResult, ds: Dataset, theta: float) -> PfaResult:
     """
     if result.relevant_features is None:
         raise ValueError("run filter_relevant before filter_by_mi")
+    _check_dataset(result, ds)
     scores: dict[int, dict[int, float]] = {}
     selected = set()
     for feature in sorted(result.relevant_features):

@@ -35,7 +35,7 @@ class DiscretizedFeature:
     module docstring, with the points per bin in ``bin_counts`` (``int64``).
     """
 
-    bin_of_point: np.ndarray
+    bin_of_point: np.ndarray = field(hash=False)
     n_bins: int
     is_constant: bool
     bin_counts: np.ndarray = field(init=False, repr=False, compare=False)

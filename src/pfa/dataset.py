@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import csv
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -25,7 +25,7 @@ class DatasetError(Exception):
 class Dataset:
     """Immutable matrix of measurements, shape (n_outputs + n_features, n_points)."""
 
-    values: np.ndarray
+    values: np.ndarray = field(hash=False)
     n_outputs: int
 
     def __post_init__(self):

@@ -74,7 +74,7 @@ class Graph:
     """Immutable undirected graph with induced-subgraph semantics."""
 
     nodes: tuple[int, ...]
-    adjacency: dict[int, frozenset[int]] = field(compare=False)
+    adjacency: dict[int, frozenset[int]] = field(hash=False)
 
     @classmethod
     def from_edges(cls, nodes, edges) -> "Graph":

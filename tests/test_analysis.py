@@ -1,8 +1,11 @@
+import dataclasses
+import hashlib
+import itertools
+
 import numpy as np
 import pytest
 
-import dataclasses
-
+import pfa.analysis
 from pfa.analysis import (
     PfaConfig,
     analyze,
@@ -113,6 +116,100 @@ class TestRunPfa:
         ]
 
 
+def count_graph_calls(monkeypatch) -> dict[str, list[tuple[int, ...]]]:
+    """Record the nodes of every graph the driver builds and dissects."""
+    calls = {"build_graph": [], "dissect": []}
+    build_graph, dissect = pfa.analysis.build_graph, pfa.analysis.dissect
+
+    def counted_build(cache, nodes):
+        calls["build_graph"].append(tuple(sorted(nodes)))
+        return build_graph(cache, nodes)
+
+    def counted_dissect(graph, tie_seed=None):
+        calls["dissect"].append(graph.nodes)
+        return dissect(graph, tie_seed)
+
+    monkeypatch.setattr(pfa.analysis, "build_graph", counted_build)
+    monkeypatch.setattr(pfa.analysis, "dissect", counted_dissect)
+    return calls
+
+
+class TestFinalPass:
+    def test_one_sublist_is_dissected_once(self, monkeypatch):
+        # all five features fit in one sublist: that pass is the final one,
+        # even though it removes nodes
+        calls = count_graph_calls(monkeypatch)
+        ds = generate(SynthSpec("example1", 5000, seed=42))
+        result = run_pfa(ds, PfaConfig(nu=100, ns=50))
+        assert [sorted(r.nodes) for r in result.removed] == [[4], [5]]
+        assert calls == {"build_graph": [(1, 2, 3, 4, 5)], "dissect": [(1, 2, 3, 4, 5)]}
+
+    def test_pass_that_removes_nothing_is_followed_by_one_whole_dissection(
+        self, monkeypatch
+    ):
+        # sublists [1, 2], [3, 4], [5] are complete or edgeless; the next
+        # pass dissects the whole remaining graph once and ends the run
+        calls = count_graph_calls(monkeypatch)
+        ds = generate(SynthSpec("example1", 5000, seed=42))
+        result = run_pfa(ds, PfaConfig(nu=100, ns=2))
+        whole = (1, 2, 3, 4, 5)
+        assert calls["dissect"] == [(1, 2), (3, 4), (5,), whole]
+        assert calls["build_graph"] == calls["dissect"]
+        assert [r.step for r in result.removed] == [1, 2]
+        assert result.principal_subgraphs == [
+            frozenset({1}),
+            frozenset({2}),
+            frozenset({3}),
+        ]
+
+
+def driver_corpus():
+    """Product DAGs with their first row as the output; one has a constant."""
+    shapes = ((5, 9, 0, 1500), (6, 12, 1, 1200), (4, 10, 2, 800))
+    for n_base, n_derived, seed, n_points in shapes:
+        dag = random_dag(n_base, n_derived, seed=seed)
+        values = generate(SynthSpec("custom", n_points, seed=seed + 20, dag=dag)).values
+        if seed == 2:
+            values = np.vstack([values, np.full(n_points, 2.0)])
+        yield Dataset(values, n_outputs=1)
+
+
+class TestPinnedDriver:
+    # sha256 of the records below as computed by the driver whose last pass
+    # was a separate dissection of the survivors after a pass removing nothing
+    DRIVER_SHA256 = (
+        "128fbe406ae2f73499a3b534d3dcff9be59abd258e63a1a29173c3de6c9054b9"
+    )
+
+    def test_results_match_the_reference_driver(self):
+        digest = hashlib.sha256()
+        for ds in driver_corpus():
+            # ns=4 forces several passes, ns=50 holds every feature; nu=12
+            # leaves sparse tables that raise guard warnings
+            for batching, ns, tie_seed, nu in itertools.product(
+                ("ordered", "random"), (4, 50), (None, 1), (12, 100)
+            ):
+                theta = None if tie_seed is None else 0.05
+                cfg = PfaConfig(
+                    nu=nu, ns=ns, batching=batching, seed=3, tie_seed=tie_seed, theta=theta
+                )
+                result = analyze(ds, cfg)
+                record = (
+                    [sorted(s) for s in result.principal_subgraphs],
+                    [
+                        (r.step, sorted(r.nodes), sorted(r.from_component))
+                        for r in result.removed
+                    ],
+                    result.constants,
+                    result.warnings,
+                    sorted(result.relevant_features),
+                    None if theta is None else sorted(result.theta_selected),
+                    list(result.cache.verdicts),
+                )
+                digest.update(repr(record).encode())
+        assert digest.hexdigest() == self.DRIVER_SHA256
+
+
 class TestRelevanceFilter:
     def test_example2_whole_subgraph_inclusion(self):
         # dissecting first leaves x1 alone; the dependent pair x1, x3 is
@@ -152,6 +249,19 @@ class TestRelevanceFilter:
         with pytest.raises(ValueError, match="output"):
             filter_relevant(run_pfa(ds, cfg), ds, cfg)
 
+    def test_rejects_a_dataset_that_is_not_the_results(self):
+        # row 2 is a feature of the result; read as an output, it would be
+        # tested against row 3 without complaint
+        ds = generate(SynthSpec("example2", 2000, seed=0))
+        cfg = PfaConfig(nu=50)
+        dissected = run_pfa(ds, cfg)
+        tested = dict(dissected.cache.verdicts)
+        with pytest.raises(ValueError, match="2 output rows and 4 rows.*1 and 4"):
+            filter_relevant(dissected, Dataset(ds.values, 2), cfg)
+        with pytest.raises(ValueError, match="1 output rows and 3 rows.*1 and 4"):
+            filter_relevant(dissected, Dataset(ds.values[:3], 1), cfg)
+        assert dissected.cache.verdicts == tested
+
 
 class TestMiFilter:
     def test_example4_separates_strong_from_weak(self):
@@ -169,6 +279,13 @@ class TestMiFilter:
         result = filter_relevant(run_pfa(ds, cfg), ds, cfg)
         scored = filter_by_mi(result, ds, theta=0.0)
         assert scored.theta_selected == result.relevant_features
+
+    def test_rejects_a_dataset_that_is_not_the_results(self):
+        ds = generate(SynthSpec("example4", 3000, seed=0))
+        cfg = PfaConfig(nu=100)
+        relevant = filter_relevant(run_pfa(ds, cfg), ds, cfg)
+        with pytest.raises(ValueError, match="0 output rows and 3 rows.*1 and 3"):
+            filter_by_mi(relevant, Dataset(ds.values, 0), 0.1)
 
     def test_needs_relevance_first(self):
         ds = generate(SynthSpec("example2", 2000, seed=0))

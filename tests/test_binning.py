@@ -107,6 +107,13 @@ class TestDiscretizedFeature:
         assert a != "a feature" and a != (a.bin_of_point, 2, False)
         assert a.__eq__(a.bin_of_point) is NotImplemented
 
+    def test_equal_features_hash_equal(self):
+        a = discretize([1.0, 2, 3, 4], 2)
+        same = discretize([1.0, 2, 3, 5], 2)
+        assert hash(a) == hash(same)
+        assert len({a, same, discretize([4.0, 3, 2, 1], 2)}) == 2
+        assert {a: "first"}[same] == "first"
+
     def test_counts_are_bin_sizes(self):
         rng = np.random.default_rng(0)
         values = np.round(rng.normal(size=5000), 1)

@@ -217,6 +217,14 @@ class TestDatasetValidation:
         with pytest.raises(ValueError):
             Dataset(np.ones((2, 3)), n_outputs=2)
 
+    def test_equal_datasets_hash_equal(self):
+        a = Dataset(np.ones((2, 3)), 1)
+        same = Dataset(np.ones((2, 3), dtype=np.float32), 1)
+        assert a == same and hash(a) == hash(same)
+        assert a != Dataset(np.ones((2, 3)), 0)
+        assert a != Dataset(np.zeros((2, 3)), 1)
+        assert len({a, same, Dataset(np.zeros((2, 3)), 1)}) == 2
+
     def test_row_access_is_one_based(self):
         ds = Dataset(np.array([[1.0, 2.0], [3.0, 4.0]]), n_outputs=1)
         assert list(ds.row(1)) == [1.0, 2.0]

@@ -33,6 +33,15 @@ class TestGraph:
         sub = g.induced({1, 2, 4})
         assert sub.edges() == [(1, 2)]
 
+    def test_equality_includes_the_edges(self):
+        g = Graph.from_edges([1, 2, 3], [(1, 2)])
+        assert g != Graph.from_edges([1, 2, 3], [(2, 3)])
+        assert g != Graph.from_edges([1, 2, 3], [])
+        same = Graph.from_edges([3, 2, 1], [(2, 1)])
+        assert g == same and hash(g) == hash(same)
+        assert len({g, same, Graph.from_edges([1, 2, 3], [(2, 3)])}) == 2
+        assert g == Graph.from_edges([1, 2, 3, 4], [(1, 2)]).induced({1, 2, 3})
+
 
 class TestIsComplete:
     def test_singleton(self):
