@@ -12,6 +12,7 @@ relevance and MI filters; ``robust_intersection`` repeats it on subsamples.
 
 from __future__ import annotations
 
+import operator
 import random
 from dataclasses import dataclass, field, replace
 from itertools import islice
@@ -40,12 +41,16 @@ class PfaConfig:
     theta: float | None = None
 
     def __post_init__(self):
-        if self.nu < 1:
-            raise ValueError(f"nu must be >= 1, got {self.nu}")
+        for name, least in (("nu", 1), ("ns", 2)):
+            value = getattr(self, name)
+            try:
+                valid = operator.index(value) >= least
+            except TypeError:
+                valid = False
+            if not valid:
+                raise ValueError(f"{name} must be an integer >= {least}, got {value!r}")
         if not 0.0 < self.alpha < 1.0:
             raise ValueError(f"alpha must be in (0, 1), got {self.alpha}")
-        if self.ns < 2:
-            raise ValueError(f"ns must be >= 2, got {self.ns}")
         if self.batching not in BATCHING_MODES:
             raise ValueError(
                 f"batching must be one of {BATCHING_MODES}, got {self.batching!r}"
@@ -54,7 +59,9 @@ class PfaConfig:
             raise ValueError(
                 f"dof_mode must be one of {DOF_MODES}, got {self.dof_mode!r}"
             )
-        if self.theta is not None and self.theta < 0.0:
+        if not self.min_expected >= 0.0:  # NaN fails every comparison
+            raise ValueError(f"min_expected must be >= 0, got {self.min_expected}")
+        if self.theta is not None and not self.theta >= 0.0:
             raise ValueError(f"theta must be >= 0, got {self.theta}")
 
 
@@ -70,12 +77,12 @@ class PfaResult:
     removed: list[Removal]
     constants: list[int]
     warnings: list[str]
+    cache: IndependenceCache = field(repr=False)
+    discretized: dict[int, DiscretizedFeature] = field(repr=False)
+    n_outputs: int
     relevant_features: frozenset[int] | None = None
     mi_scores: dict[int, dict[int, float]] | None = None
     theta_selected: frozenset[int] | None = None
-    cache: IndependenceCache = field(repr=False, default=None)
-    discretized: dict[int, DiscretizedFeature] = field(repr=False, default=None)
-    n_outputs: int = 0
 
     @property
     def principal_features(self) -> frozenset[int]:
@@ -150,31 +157,23 @@ def run_pfa(ds: Dataset, cfg: PfaConfig) -> PfaResult:
     )
 
 
-def _check_dataset(result: PfaResult, ds: Dataset) -> None:
-    if ds.n_outputs != result.n_outputs or ds.n_rows != len(result.discretized):
-        raise ValueError(
-            f"dataset has {ds.n_outputs} output rows and {ds.n_rows} rows, but the "
-            f"result has {result.n_outputs} and {len(result.discretized)}"
-        )
-
-
-def filter_relevant(result: PfaResult, ds: Dataset, cfg: PfaConfig) -> PfaResult:
+def filter_relevant(result: PfaResult) -> PfaResult:
     """Keep whole principal subgraphs with any member related to any output.
 
     A subgraph enters the relevant set as a unit: when one member is not
-    independent of one output, every member is included.  Each pair test
+    independent of one output, every member is included.  Pairs are tested
+    through the result's cache, under the settings of its run; each pair
     this adds to the cache with a failing guard adds a warning.
     """
     if result.n_outputs < 1:
         raise ValueError("relevance filtering needs at least one output row")
-    _check_dataset(result, ds)
     tested = len(result.cache.verdicts)
     relevant: set[int] = set()
     for subgraph in result.principal_subgraphs:
         related = any(
             not result.cache.verdict(member, output).independent
             for member in sorted(subgraph)
-            for output in ds.output_ids
+            for output in range(1, result.n_outputs + 1)
         )
         if related:
             relevant.update(subgraph)
@@ -185,17 +184,16 @@ def filter_relevant(result: PfaResult, ds: Dataset, cfg: PfaConfig) -> PfaResult
     )
 
 
-def filter_by_mi(result: PfaResult, ds: Dataset, theta: float) -> PfaResult:
+def filter_by_mi(result: PfaResult, theta: float) -> PfaResult:
     """Relevant features whose MI with an output exceeds theta, as a new result.
 
-    Scores are recorded per feature and output; a feature passes on its
-    maximum score across outputs.  Unlike relevance filtering this selects
-    individual features, not whole subgraphs.  The kept set is the new
-    result's ``theta_selected``.
+    Scores on the result's bins are recorded per feature and output; a
+    feature passes on its maximum score across outputs.  Unlike relevance
+    filtering this selects individual features, not whole subgraphs.  The
+    kept set is the new result's ``theta_selected``.
     """
     if result.relevant_features is None:
         raise ValueError("run filter_relevant before filter_by_mi")
-    _check_dataset(result, ds)
     scores: dict[int, dict[int, float]] = {}
     selected = set()
     for feature in sorted(result.relevant_features):
@@ -203,7 +201,7 @@ def filter_by_mi(result: PfaResult, ds: Dataset, theta: float) -> PfaResult:
             output: mutual_information(
                 result.discretized[feature], result.discretized[output]
             )
-            for output in ds.output_ids
+            for output in range(1, result.n_outputs + 1)
         }
         if max(scores[feature].values()) > theta:
             selected.add(feature)
@@ -225,9 +223,9 @@ def analyze(ds: Dataset, cfg: PfaConfig) -> PfaResult:
     _check_theta(ds, cfg)
     result = run_pfa(ds, cfg)
     if ds.n_outputs >= 1:
-        result = filter_relevant(result, ds, cfg)
+        result = filter_relevant(result)
         if cfg.theta is not None:
-            result = filter_by_mi(result, ds, cfg.theta)
+            result = filter_by_mi(result, cfg.theta)
     return result
 
 
@@ -268,10 +266,9 @@ def robust_intersection(
     common: frozenset[int] | None = None
     for run_index in range(runs):
         run_seed = cfg.seed + run_index
-        sample = subsample(ds, fraction, run_seed) if fraction < 1.0 else ds
-        run_cfg = replace(cfg, seed=run_seed)
+        sample = subsample(ds, fraction, run_seed)
         try:
-            result = analyze(sample, run_cfg)
+            result = analyze(sample, replace(cfg, seed=run_seed))
         except Exception as exc:
             raise RuntimeError(f"run {run_index} failed: {exc}") from exc
         selected = result.selected_features()

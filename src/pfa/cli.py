@@ -102,6 +102,8 @@ def _write_outputs(out_prefix: str, features, report: dict) -> None:
 
 def _build_config(args) -> analysis.PfaConfig:
     # checked before ingest, so a bad flag does not wait for a large input
+    if args.n_outputs < 0:
+        raise ValueError(f"--n-outputs must be >= 0, got {args.n_outputs}")
     if args.theta is not None and args.n_outputs < 1:
         raise ValueError("--theta needs at least one output row (--n-outputs >= 1)")
     return analysis.PfaConfig(

@@ -85,7 +85,7 @@ def test_criterion_2_example2_non_commutation():
         ds = generate(SynthSpec("example2", 5000, seed=42))
         cfg = PfaConfig(nu=100, alpha=0.01)
         # dissect first, then filter against the output
-        result = filter_relevant(run_pfa(ds, cfg), ds, cfg)
+        result = filter_relevant(run_pfa(ds, cfg))
         assert result.relevant_features == {2}  # {x1}
         # filter first, then dissect what remains
         disc = discretize_all(ds, cfg.nu)
@@ -120,13 +120,13 @@ def test_criterion_4_example4_mi_ordering():
     with criterion(4, "example-4 MI ordering"):
         ds = generate(SynthSpec("example4", 10_000, seed=42))
         cfg = PfaConfig(nu=500, alpha=0.01)
-        result = filter_relevant(run_pfa(ds, cfg), ds, cfg)
-        scored = filter_by_mi(result, ds, theta=0.0)
+        result = filter_relevant(run_pfa(ds, cfg))
+        scored = filter_by_mi(result, theta=0.0)
         mi_x1 = scored.mi_scores[2][1]
         mi_x2 = scored.mi_scores[3][1]
         assert mi_x1 / mi_x2 >= 5.0, f"ratio only {mi_x1 / mi_x2:.2f}"
         theta = (mi_x1 + mi_x2) / 2.0
-        assert filter_by_mi(result, ds, theta=theta).theta_selected == {2}  # {x1}
+        assert filter_by_mi(result, theta=theta).theta_selected == {2}  # {x1}
 
 
 def test_criterion_5_min_cut_oracle_equivalence():

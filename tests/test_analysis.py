@@ -38,6 +38,11 @@ class TestPfaConfig:
             {"nu": 10, "batching": "sideways"},
             {"nu": 10, "dof_mode": "bogus"},
             {"nu": 10, "theta": -0.1},
+            {"nu": 10, "theta": float("nan")},
+            {"nu": 10, "min_expected": float("nan")},
+            {"nu": 10, "min_expected": -1.0},
+            {"nu": 2.5},
+            {"nu": 10, "ns": 2.5},
         ],
     )
     def test_rejects_bad_values(self, kwargs):
@@ -216,7 +221,7 @@ class TestRelevanceFilter:
         # only kept together when filtering precedes dissection
         ds = generate(SynthSpec("example2", 5000, seed=42))
         cfg = PfaConfig(nu=100)
-        result = filter_relevant(run_pfa(ds, cfg), ds, cfg)
+        result = filter_relevant(run_pfa(ds, cfg))
         assert result.relevant_features == {2}
 
     def test_irrelevant_subgraph_dropped(self):
@@ -226,7 +231,7 @@ class TestRelevanceFilter:
         y = (x1 >= np.median(x1)).astype(float)
         ds = Dataset(np.vstack([y, x1, x2]), n_outputs=1)
         cfg = PfaConfig(nu=100)
-        result = filter_relevant(run_pfa(ds, cfg), ds, cfg)
+        result = filter_relevant(run_pfa(ds, cfg))
         assert result.relevant_features == {2}
         assert result.principal_features == {2, 3}
 
@@ -236,7 +241,7 @@ class TestRelevanceFilter:
         cfg = PfaConfig(nu=5)
         dissected = run_pfa(ds, cfg)
         assert (1, 2) not in dissected.cache.verdicts
-        result = filter_relevant(dissected, ds, cfg)
+        result = filter_relevant(dissected)
         assert not result.cache.verdicts[(1, 2)].guard_ok
         assert result.warnings == dissected.warnings + [
             "expected frequency below 5.0 for pair 1-2; consider increasing nu"
@@ -247,20 +252,7 @@ class TestRelevanceFilter:
         ds = generate(SynthSpec("example1", 1000, seed=0))
         cfg = PfaConfig(nu=50)
         with pytest.raises(ValueError, match="output"):
-            filter_relevant(run_pfa(ds, cfg), ds, cfg)
-
-    def test_rejects_a_dataset_that_is_not_the_results(self):
-        # row 2 is a feature of the result; read as an output, it would be
-        # tested against row 3 without complaint
-        ds = generate(SynthSpec("example2", 2000, seed=0))
-        cfg = PfaConfig(nu=50)
-        dissected = run_pfa(ds, cfg)
-        tested = dict(dissected.cache.verdicts)
-        with pytest.raises(ValueError, match="2 output rows and 4 rows.*1 and 4"):
-            filter_relevant(dissected, Dataset(ds.values, 2), cfg)
-        with pytest.raises(ValueError, match="1 output rows and 3 rows.*1 and 4"):
-            filter_relevant(dissected, Dataset(ds.values[:3], 1), cfg)
-        assert dissected.cache.verdicts == tested
+            filter_relevant(run_pfa(ds, cfg))
 
 
 class TestMiFilter:
@@ -269,29 +261,22 @@ class TestMiFilter:
         # leaves it with a score well under x1's
         ds = generate(SynthSpec("example4", 10_000, seed=42))
         cfg = PfaConfig(nu=500)
-        result = filter_by_mi(filter_relevant(run_pfa(ds, cfg), ds, cfg), ds, theta=0.1)
+        result = filter_by_mi(filter_relevant(run_pfa(ds, cfg)), theta=0.1)
         assert result.theta_selected == {2}
         assert result.mi_scores[2][1] / result.mi_scores[3][1] >= 5.0
 
     def test_zero_theta_keeps_all_relevant(self):
         ds = generate(SynthSpec("example2", 5000, seed=42))
         cfg = PfaConfig(nu=100)
-        result = filter_relevant(run_pfa(ds, cfg), ds, cfg)
-        scored = filter_by_mi(result, ds, theta=0.0)
+        result = filter_relevant(run_pfa(ds, cfg))
+        scored = filter_by_mi(result, theta=0.0)
         assert scored.theta_selected == result.relevant_features
-
-    def test_rejects_a_dataset_that_is_not_the_results(self):
-        ds = generate(SynthSpec("example4", 3000, seed=0))
-        cfg = PfaConfig(nu=100)
-        relevant = filter_relevant(run_pfa(ds, cfg), ds, cfg)
-        with pytest.raises(ValueError, match="0 output rows and 3 rows.*1 and 3"):
-            filter_by_mi(relevant, Dataset(ds.values, 0), 0.1)
 
     def test_needs_relevance_first(self):
         ds = generate(SynthSpec("example2", 2000, seed=0))
         result = run_pfa(ds, PfaConfig(nu=100))
         with pytest.raises(ValueError, match="filter_relevant"):
-            filter_by_mi(result, ds, theta=0.1)
+            filter_by_mi(result, theta=0.1)
 
 
 class TestImmutableResults:
@@ -299,8 +284,8 @@ class TestImmutableResults:
         ds = generate(SynthSpec("example4", 5000, seed=0))
         cfg = PfaConfig(nu=100)
         dissected = run_pfa(ds, cfg)
-        relevant = filter_relevant(dissected, ds, cfg)
-        scored = filter_by_mi(relevant, ds, theta=0.1)
+        relevant = filter_relevant(dissected)
+        scored = filter_by_mi(relevant, theta=0.1)
         assert dissected.relevant_features is None
         assert relevant.mi_scores is None and relevant.theta_selected is None
         assert scored.theta_selected == {2}
@@ -338,7 +323,7 @@ class TestAnalyze:
     def test_matches_the_filter_chain(self, scenario, theta, selected):
         ds = generate(SynthSpec(scenario, 5000, seed=0))
         cfg = PfaConfig(nu=100, theta=theta)
-        chained = filter_by_mi(filter_relevant(run_pfa(ds, cfg), ds, cfg), ds, theta)
+        chained = filter_by_mi(filter_relevant(run_pfa(ds, cfg)), theta)
         result = analyze(ds, cfg)
         assert _outcome(result) == _outcome(chained)
         assert result.selected_features() == selected
@@ -347,7 +332,7 @@ class TestAnalyze:
         ds = generate(SynthSpec("example4", 5000, seed=0))
         cfg = PfaConfig(nu=100)
         result = analyze(ds, cfg)
-        assert _outcome(result) == _outcome(filter_relevant(run_pfa(ds, cfg), ds, cfg))
+        assert _outcome(result) == _outcome(filter_relevant(run_pfa(ds, cfg)))
         assert result.mi_scores is None
 
     def test_without_outputs_is_run_pfa(self):
@@ -413,6 +398,11 @@ class TestRobustIntersection:
         ds = generate(SynthSpec("example1", 500, seed=0))
         with pytest.raises(ValueError, match="runs"):
             robust_intersection(ds, PfaConfig(nu=50), runs=0, fraction=0.9)
+
+    def test_rejects_a_fraction_above_one(self):
+        ds = generate(SynthSpec("example1", 500, seed=0))
+        with pytest.raises(ValueError, match="fraction must be in"):
+            robust_intersection(ds, PfaConfig(nu=50), runs=1, fraction=1.5)
 
     def test_theta_without_outputs_rejected_before_any_run(self, monkeypatch):
         # a config error is a ValueError raised before subsampling, not a

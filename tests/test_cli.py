@@ -196,6 +196,25 @@ class TestRunCommand:
         assert code == 1
         assert "--theta needs at least one output row" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command", ["run", "robust"])
+    @pytest.mark.parametrize(
+        "flag,value,message",
+        [
+            ("--theta", "nan", "theta must be >= 0, got nan"),
+            ("--n-outputs", "-1", "--n-outputs must be >= 0, got -1"),
+        ],
+        ids=["theta-nan", "negative-n-outputs"],
+    )
+    def test_bad_value_rejected_before_ingest(
+        self, command, flag, value, message, tmp_path, capsys
+    ):
+        code = run_cli(
+            command, "--input", str(tmp_path / "absent.csv"), "--n-outputs", "1",
+            "--nu", "100", flag, value, "--out", str(tmp_path / "out"),
+        )
+        assert code == 1
+        assert message in capsys.readouterr().err
+
 
 
 class TestRobustCommand:
