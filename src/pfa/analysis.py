@@ -15,7 +15,6 @@ from __future__ import annotations
 import operator
 import random
 from dataclasses import dataclass, field, replace
-from itertools import islice
 
 from .binning import DiscretizedFeature, discretize_all
 from .dataset import Dataset, subsample
@@ -41,7 +40,7 @@ class PfaConfig:
     theta: float | None = None
 
     def __post_init__(self):
-        for name, least in (("nu", 1), ("ns", 2)):
+        for name, least in (("nu", 1), ("ns", 2), ("seed", 0)):
             value = getattr(self, name)
             try:
                 valid = operator.index(value) >= least
@@ -86,8 +85,6 @@ class PfaResult:
 
     @property
     def principal_features(self) -> frozenset[int]:
-        if not self.principal_subgraphs:
-            return frozenset()
         return frozenset().union(*self.principal_subgraphs)
 
     def selected_features(self) -> frozenset[int]:
@@ -106,12 +103,12 @@ def _partition(nodes: list[int], ns: int, batching: str, rng: random.Random):
     return [ordered[i : i + ns] for i in range(0, len(ordered), ns)]
 
 
-def _guard_warnings(cache: IndependenceCache, start: int = 0) -> list[str]:
-    """One message per guard-failing verdict, from the ``start``-th cached on."""
+def _guard_warnings(cache: IndependenceCache) -> list[str]:
+    """One message per guard-failing verdict of the cache, in insertion order."""
     return [
         f"expected frequency below {cache.min_expected} for pair "
         f"{i}-{j}; consider increasing nu"
-        for (i, j), verdict in islice(cache.verdicts.items(), start, None)
+        for (i, j), verdict in cache.verdicts.items()
         if not verdict.guard_ok
     ]
 
@@ -162,12 +159,13 @@ def filter_relevant(result: PfaResult) -> PfaResult:
 
     A subgraph enters the relevant set as a unit: when one member is not
     independent of one output, every member is included.  Pairs are tested
-    through the result's cache, under the settings of its run; each pair
-    this adds to the cache with a failing guard adds a warning.
+    through the result's cache, under the settings of its run.  The new
+    result's warnings name every guard-failing verdict in the cache once
+    the filter is done: the run's, the filter's own and any added since,
+    for instance by ``explain_feature``.
     """
     if result.n_outputs < 1:
         raise ValueError("relevance filtering needs at least one output row")
-    tested = len(result.cache.verdicts)
     relevant: set[int] = set()
     for subgraph in result.principal_subgraphs:
         related = any(
@@ -180,7 +178,7 @@ def filter_relevant(result: PfaResult) -> PfaResult:
     return replace(
         result,
         relevant_features=frozenset(relevant),
-        warnings=result.warnings + _guard_warnings(result.cache, tested),
+        warnings=_guard_warnings(result.cache),
     )
 
 
@@ -263,7 +261,6 @@ def robust_intersection(
         raise ValueError(f"runs must be >= 1, got {runs}")
     _check_theta(ds, cfg)
     results = []
-    common: frozenset[int] | None = None
     for run_index in range(runs):
         run_seed = cfg.seed + run_index
         sample = subsample(ds, fraction, run_seed)
@@ -271,7 +268,6 @@ def robust_intersection(
             result = analyze(sample, replace(cfg, seed=run_seed))
         except Exception as exc:
             raise RuntimeError(f"run {run_index} failed: {exc}") from exc
-        selected = result.selected_features()
         results.append(result)
-        common = selected if common is None else common & selected
+    common = frozenset.intersection(*(r.selected_features() for r in results))
     return common, results

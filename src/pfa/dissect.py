@@ -48,11 +48,11 @@ class DissectionResult:
 
     @property
     def surviving_nodes(self) -> frozenset[int]:
-        return frozenset().union(*self.complete_subgraphs) if self.complete_subgraphs else frozenset()
+        return frozenset().union(*self.complete_subgraphs)
 
     @property
     def removed_nodes(self) -> frozenset[int]:
-        return frozenset().union(*(r.nodes for r in self.removals)) if self.removals else frozenset()
+        return frozenset().union(*(r.nodes for r in self.removals))
 
 
 def _node_ranking(nodes, rng: random.Random | None) -> dict[int, int]:
@@ -199,13 +199,12 @@ def dissect(g: Graph, tie_seed: int | None = None) -> DissectionResult:
     """Iteratively remove minimal cuts until only complete subgraphs remain.
 
     Incomplete components are processed in ascending order of their
-    smallest member id.  Splitting an already-disconnected component counts
-    as removing the empty cut and is not logged.
+    smallest member id.  Only connected components are cut, so every logged
+    removal is non-empty; removals are numbered from 1 in the order made.
     """
     complete: list[frozenset[int]] = []
     removals: list[Removal] = []
     pending = connected_components(g)
-    step = 0
     while pending:
         pending.sort(key=lambda comp: comp.nodes[0])
         component = pending.pop(0)
@@ -213,8 +212,7 @@ def dissect(g: Graph, tie_seed: int | None = None) -> DissectionResult:
             complete.append(frozenset(component.nodes))
             continue
         cut = min_node_cut(component, tie_seed)
-        step += 1
-        removals.append(Removal(step, cut, frozenset(component.nodes)))
+        removals.append(Removal(len(removals) + 1, cut, frozenset(component.nodes)))
         rest = component.induced(set(component.nodes) - cut)
         pending.extend(connected_components(rest))
     complete.sort(key=min)

@@ -43,6 +43,9 @@ class TestPfaConfig:
             {"nu": 10, "min_expected": -1.0},
             {"nu": 2.5},
             {"nu": 10, "ns": 2.5},
+            {"nu": 10, "seed": 2.5},
+            {"nu": 10, "seed": -1},
+            {"nu": 10, "seed": "x"},
         ],
     )
     def test_rejects_bad_values(self, kwargs):
@@ -248,6 +251,28 @@ class TestRelevanceFilter:
         ]
         assert analyze(ds, cfg).warnings == result.warnings
 
+    def test_repeated_calls_warn_alike(self):
+        ds = generate(SynthSpec("example2", 200, seed=0))
+        dissected = run_pfa(ds, PfaConfig(nu=5))
+        first = filter_relevant(dissected)
+        assert filter_relevant(dissected).warnings == first.warnings
+        assert len(first.warnings) == 4
+
+    def test_warnings_name_every_failing_verdict_of_the_cache(self):
+        # explain_feature tests the feature-output pair 1-2 first; the
+        # filter still warns about it, because it is in the result's cache
+        ds = generate(SynthSpec("example2", 200, seed=0))
+        dissected = run_pfa(ds, PfaConfig(nu=5))
+        explain_feature(dissected, 1)
+        assert not dissected.cache.verdicts[(1, 2)].guard_ok
+        result = filter_relevant(dissected)
+        assert result.warnings == [
+            f"expected frequency below 5.0 for pair {i}-{j}; consider increasing nu"
+            for (i, j), verdict in dissected.cache.verdicts.items()
+            if not verdict.guard_ok
+        ]
+        assert any("pair 1-2;" in warning for warning in result.warnings)
+
     def test_requires_outputs(self):
         ds = generate(SynthSpec("example1", 1000, seed=0))
         cfg = PfaConfig(nu=50)
@@ -354,6 +379,33 @@ class TestExplainFeature:
         result = run_pfa(ds, PfaConfig(nu=100))
         assert explain_feature(result, 5) == {1, 2}
         assert explain_feature(result, 4) == {1, 2, 3}
+
+    @pytest.mark.parametrize(
+        "scenario,expected",
+        [
+            ("example1", {1: set(), 2: set(), 3: set()}),
+            ("example3", {1: set(), 2: {5, 6}, 3: set(), 5: {2, 6}, 6: {2, 5}}),
+        ],
+    )
+    def test_principal_target(self, scenario, expected):
+        # a principal target gets the other members of its own subgraph,
+        # plus any other principal related to it
+        ds = generate(SynthSpec(scenario, 5000, seed=42))
+        result = run_pfa(ds, PfaConfig(nu=100))
+        explained = {p: explain_feature(result, p) for p in result.principal_features}
+        assert explained == expected
+        for subgraph in result.principal_subgraphs:
+            for target in subgraph:
+                assert subgraph - {target} <= explained[target]
+
+    def test_single_bin_target_tests_nothing(self):
+        rng = np.random.default_rng(3)
+        rows = np.vstack([rng.uniform(0, 5, (2, 1000)), np.full(1000, 2.0)])
+        result = run_pfa(Dataset(rows, n_outputs=0), PfaConfig(nu=50))
+        assert result.constants == [3]
+        cached = list(result.cache.verdicts)
+        assert explain_feature(result, 3) == frozenset()
+        assert list(result.cache.verdicts) == cached
 
     def test_unknown_id(self):
         ds = generate(SynthSpec("example1", 1000, seed=0))

@@ -1,5 +1,6 @@
 import dataclasses
 import json
+import re
 
 import pytest
 
@@ -202,8 +203,9 @@ class TestRunCommand:
         [
             ("--theta", "nan", "theta must be >= 0, got nan"),
             ("--n-outputs", "-1", "--n-outputs must be >= 0, got -1"),
+            ("--seed", "-1", "seed must be an integer >= 0, got -1"),
         ],
-        ids=["theta-nan", "negative-n-outputs"],
+        ids=["theta-nan", "negative-n-outputs", "negative-seed"],
     )
     def test_bad_value_rejected_before_ingest(
         self, command, flag, value, message, tmp_path, capsys
@@ -287,6 +289,25 @@ class TestRobustCommand:
 
 
 class TestReportShape:
+    def test_warnings_name_each_guard_failing_test_once(self, tmp_path):
+        data, prefix = tmp_path / "example2.csv", tmp_path / "out"
+        assert run_cli(
+            "synth", "--scenario", "example2", "--n", "200", "--seed", "0",
+            "--out", str(data),
+        ) == 0
+        assert run_cli(
+            "run", "--input", str(data), "--n-outputs", "1", "--nu", "5",
+            "--out", str(prefix),
+        ) == 0
+        _, report = read_outputs(prefix)
+        warned = sorted(
+            [int(n) for n in re.search(r"pair (\d+)-(\d+);", w).groups()]
+            for w in report["warnings"]
+        )
+        failing = [t["pair"] for t in report["graph"]["tests"] if not t["guard_ok"]]
+        assert failing
+        assert warned == failing
+
     def test_report_carries_full_test_log(self, example1_csv, tmp_path):
         prefix = tmp_path / "out"
         run_cli(
