@@ -192,6 +192,8 @@ def filter_by_mi(result: PfaResult, theta: float) -> PfaResult:
     """
     if result.relevant_features is None:
         raise ValueError("run filter_relevant before filter_by_mi")
+    if not theta >= 0.0:  # NaN fails every comparison
+        raise ValueError(f"theta must be >= 0, got {theta}")
     scores: dict[int, dict[int, float]] = {}
     selected = set()
     for feature in sorted(result.relevant_features):

@@ -80,7 +80,7 @@ class DiscretizedFeature:
 
 
 def discretize(values, nu: int) -> DiscretizedFeature:
-    """Bin one variable's values so every bin holds >= nu points.
+    """Bin one variable's finite values so every bin holds >= nu points.
 
     Every bin boundary falls between two distinct values, so equal values
     share a bin whatever their order in the sort; the partition depends only
@@ -89,10 +89,17 @@ def discretize(values, nu: int) -> DiscretizedFeature:
     values = np.asarray(values, dtype=np.float64)
     if values.size == 0:
         raise ValueError("cannot discretize an empty value sequence")
-    if nu < 1:
-        raise ValueError(f"nu must be >= 1, got {nu}")
+    try:
+        valid_nu = operator.index(nu) >= 1
+    except TypeError:
+        valid_nu = False
+    if not valid_nu:
+        raise ValueError(f"nu must be an integer >= 1, got {nu!r}")
+    low, high = values.min(), values.max()  # NaN propagates through both
+    if not (np.isfinite(low) and np.isfinite(high)):
+        raise ValueError("cannot discretize non-finite values")
 
-    if values.max() <= values.min():
+    if high <= low:
         return DiscretizedFeature(np.zeros(values.size, dtype=np.uint8), 1, True)
 
     order = np.argsort(values)

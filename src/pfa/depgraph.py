@@ -28,17 +28,22 @@ class IndependenceCache:
         self.min_expected = min_expected
         self.dof_mode = dof_mode
         self.verdicts: dict[tuple[int, int], IndependenceVerdict] = {}
-        self.test_calls = 0
+
+    @property
+    def test_calls(self) -> int:
+        """Pair tests run so far: every computed verdict is cached once."""
+        return len(self.verdicts)
 
     @staticmethod
     def _key(i: int, j: int) -> tuple[int, int]:
+        if i == j:
+            raise ValueError(f"no self-test for variable {i}")
         return (i, j) if i < j else (j, i)
 
     def cached(self, i: int, j: int) -> IndependenceVerdict | None:
         return self.verdicts.get(self._key(i, j))
 
     def _compute(self, key: tuple[int, int]) -> IndependenceVerdict:
-        self.test_calls += 1
         i, j = key
         return is_independent(
             self.features[i],
@@ -49,8 +54,6 @@ class IndependenceCache:
         )
 
     def verdict(self, i: int, j: int) -> IndependenceVerdict:
-        if i == j:
-            raise ValueError(f"no self-test for variable {i}")
         key = self._key(i, j)
         found = self.verdicts.get(key)
         if found is None:
@@ -142,9 +145,7 @@ def connected_components(g: Graph) -> list[Graph]:
 
 
 def is_connected(g: Graph) -> bool:
-    if g.n_nodes <= 1:
-        return True
-    return len(connected_components(g)) == 1
+    return len(connected_components(g)) <= 1
 
 
 def build_graph(cache: IndependenceCache, nodes) -> Graph:

@@ -55,14 +55,6 @@ class DissectionResult:
         return frozenset().union(*(r.nodes for r in self.removals))
 
 
-def _node_ranking(nodes, rng: random.Random | None) -> dict[int, int]:
-    """Deterministic iteration rank; a tie seed permutes ids first."""
-    ordered = sorted(nodes)
-    if rng is not None:
-        rng.shuffle(ordered)
-    return {node: pos for pos, node in enumerate(ordered)}
-
-
 def _residual_masks(g: Graph, order: dict[int, int]) -> list[int]:
     """Positive-residual out-arcs of the zero flow, one bitmask per split node.
 
@@ -148,9 +140,11 @@ def _min_vertex_cut(base: list[int], source: int, sink: int, in_nodes: int) -> i
 def min_node_cut(g: Graph, tie_seed: int | None = None) -> frozenset[int]:
     """A cardinality-minimal vertex set whose removal disconnects g.
 
-    Returns the empty set for an already-disconnected graph.  Ties between
-    equal-size cuts are resolved by a fixed candidate schedule; a tie seed
-    permutes the node ordering to surface alternative valid cuts.
+    Returns the empty set for an already-disconnected graph.  Nodes are
+    ranked once, by id or, given a tie seed, by a seeded shuffle of the ids;
+    the rank fixes the pivot (the first node of least degree), the order of
+    the candidates and the split-node bits.  Ties between equal-size cuts go
+    to the first candidate, so a tie seed surfaces alternative valid cuts.
     """
     if g.n_nodes < 2:
         raise ValueError("min_node_cut needs at least 2 nodes")
@@ -160,18 +154,16 @@ def min_node_cut(g: Graph, tie_seed: int | None = None) -> frozenset[int]:
         return frozenset()
 
     rng = random.Random(tie_seed) if tie_seed is not None else None
-    order = _node_ranking(g.nodes, rng)
-    rank_to_node = {r: v for v, r in order.items()}
+    ranked = sorted(g.nodes)
+    if rng is not None:
+        rng.shuffle(ranked)
+    order = {node: rank for rank, node in enumerate(ranked)}
     base = _residual_masks(g, order)
     in_nodes = int("01" * g.n_nodes, 2)  # the even bits
 
-    pivot = min(g.nodes, key=lambda v: (g.degree(v), order[v]))
-    candidates: list[tuple[int, int]] = []
-    non_neighbors = [
-        v for v in g.nodes if v != pivot and not g.has_edge(pivot, v)
-    ]
-    candidates.extend((pivot, t) for t in sorted(non_neighbors, key=order.get))
-    neighbors = sorted(g.adjacency[pivot], key=order.get)
+    pivot = min(ranked, key=g.degree)  # min keeps the first of equal degrees
+    neighbors = [v for v in ranked if g.has_edge(pivot, v)]
+    candidates = [(pivot, t) for t in ranked if t != pivot and not g.has_edge(pivot, t)]
     candidates.extend(
         (u, w) for u, w in combinations(neighbors, 2) if not g.has_edge(u, w)
     )
@@ -191,7 +183,7 @@ def min_node_cut(g: Graph, tie_seed: int | None = None) -> frozenset[int]:
                 break
     assert best is not None  # g is connected and incomplete
     return frozenset(
-        rank_to_node[bit >> 1] for bit in range(best.bit_length()) if best >> bit & 1
+        ranked[bit >> 1] for bit in range(best.bit_length()) if best >> bit & 1
     )
 
 

@@ -303,6 +303,13 @@ class TestMiFilter:
         with pytest.raises(ValueError, match="filter_relevant"):
             filter_by_mi(result, theta=0.1)
 
+    @pytest.mark.parametrize("theta", [float("nan"), -1.0])
+    def test_rejects_bad_theta(self, theta):
+        ds = generate(SynthSpec("example4", 2000, seed=0))
+        result = filter_relevant(run_pfa(ds, PfaConfig(nu=50)))
+        with pytest.raises(ValueError, match="theta must be >= 0"):
+            filter_by_mi(result, theta)
+
 
 class TestImmutableResults:
     def test_filters_return_new_results(self):
@@ -455,6 +462,23 @@ class TestRobustIntersection:
         ds = generate(SynthSpec("example1", 500, seed=0))
         with pytest.raises(ValueError, match="fraction must be in"):
             robust_intersection(ds, PfaConfig(nu=50), runs=1, fraction=1.5)
+
+    def test_failing_run_is_named(self, monkeypatch):
+        ds = generate(SynthSpec("example1", 1000, seed=0))
+        calls = []
+        cause = ArithmeticError("boom")
+
+        def fail_second(sample, cfg):
+            calls.append(cfg.seed)
+            if len(calls) == 2:
+                raise cause
+            return analyze(sample, cfg)  # this module's binding is not patched
+
+        monkeypatch.setattr("pfa.analysis.analyze", fail_second)
+        with pytest.raises(RuntimeError, match="run 1 failed: boom") as info:
+            robust_intersection(ds, PfaConfig(nu=50), 3, 0.9)
+        assert info.value.__cause__ is cause
+        assert calls == [0, 1]
 
     def test_theta_without_outputs_rejected_before_any_run(self, monkeypatch):
         # a config error is a ValueError raised before subsampling, not a

@@ -54,6 +54,23 @@ class TestDiscretize:
         with pytest.raises(ValueError):
             discretize([1.0, 2.0], nu=0)
 
+    @pytest.mark.parametrize(
+        "values",
+        [
+            [np.nan, np.nan, np.nan],
+            [np.nan, 1.0, 2.0, np.nan],
+            [1.0, np.inf, 2.0],
+            [1.0, -np.inf, 2.0],
+        ],
+    )
+    def test_non_finite_values_rejected(self, values):
+        with pytest.raises(ValueError, match="non-finite"):
+            discretize(values, nu=1)
+
+    def test_non_integer_nu_rejected(self):
+        with pytest.raises(ValueError, match="nu must be an integer"):
+            discretize([1.0, 2.0, 3.0, 4.0, 5.0], nu=1.5)
+
 
 class TestDiscretizedFeature:
     @pytest.mark.parametrize(

@@ -131,6 +131,21 @@ class TestBuildGraph:
                     verdict = is_independent(disc[i - 1], disc[j - 1], 0.01)
                     assert g.has_edge(i, j) == (not verdict.independent)
 
+    @pytest.mark.parametrize(
+        "ask",
+        [
+            lambda cache: cache.verdict(2, 2),
+            lambda cache: cache.cached(2, 2),
+            lambda cache: cache.compute_pairs([(2, 2)]),
+        ],
+        ids=["verdict", "cached", "compute_pairs"],
+    )
+    def test_cache_refuses_a_self_pair(self, ask):
+        cache = make_cache(generate(SynthSpec("example1", 500, seed=0)), nu=50)
+        with pytest.raises(ValueError, match="no self-test for variable 2"):
+            ask(cache)
+        assert cache.verdicts == {}
+
     def test_fresh_caches_give_same_result(self):
         ds = generate(SynthSpec("example1", 3000, seed=4))
         first = build_graph(make_cache(ds), range(1, 6))
