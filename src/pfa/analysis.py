@@ -12,12 +12,11 @@ relevance and MI filters; ``robust_intersection`` repeats it on subsamples.
 
 from __future__ import annotations
 
-import operator
 import random
 from dataclasses import dataclass, field, replace
 
 from .binning import DiscretizedFeature, discretize_all
-from .dataset import Dataset, subsample
+from .dataset import Dataset, check_integer, subsample
 from .depgraph import IndependenceCache, build_graph
 from .dissect import Removal, dissect
 from .stats import DEFAULT_MIN_EXPECTED, DOF_MODES, mutual_information
@@ -41,13 +40,7 @@ class PfaConfig:
 
     def __post_init__(self):
         for name, least in (("nu", 1), ("ns", 2), ("seed", 0)):
-            value = getattr(self, name)
-            try:
-                valid = operator.index(value) >= least
-            except TypeError:
-                valid = False
-            if not valid:
-                raise ValueError(f"{name} must be an integer >= {least}, got {value!r}")
+            check_integer(name, getattr(self, name), least)
         if not 0.0 < self.alpha < 1.0:
             raise ValueError(f"alpha must be in (0, 1), got {self.alpha}")
         if self.batching not in BATCHING_MODES:
@@ -259,8 +252,7 @@ def robust_intersection(
     Arguments that no subsample can make valid raise ``ValueError`` before
     the first run; a failing run raises ``RuntimeError`` naming the run.
     """
-    if runs < 1:
-        raise ValueError(f"runs must be >= 1, got {runs}")
+    check_integer("runs", runs, 1)
     _check_theta(ds, cfg)
     results = []
     for run_index in range(runs):

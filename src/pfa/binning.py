@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .dataset import Dataset
+from .dataset import Dataset, check_integer
 
 
 @dataclass(frozen=True)
@@ -89,12 +89,7 @@ def discretize(values, nu: int) -> DiscretizedFeature:
     values = np.asarray(values, dtype=np.float64)
     if values.size == 0:
         raise ValueError("cannot discretize an empty value sequence")
-    try:
-        valid_nu = operator.index(nu) >= 1
-    except TypeError:
-        valid_nu = False
-    if not valid_nu:
-        raise ValueError(f"nu must be an integer >= 1, got {nu!r}")
+    check_integer("nu", nu, 1)
     low, high = values.min(), values.max()  # NaN propagates through both
     if not (np.isfinite(low) and np.isfinite(high)):
         raise ValueError("cannot discretize non-finite values")

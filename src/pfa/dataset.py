@@ -11,6 +11,7 @@ module treats it as such.
 from __future__ import annotations
 
 import csv
+import operator
 import warnings
 from dataclasses import dataclass, field
 
@@ -19,6 +20,16 @@ import numpy as np
 
 class DatasetError(Exception):
     """Raised for malformed dataset files (ragged rows, bad cells, empty input)."""
+
+
+def check_integer(name: str, value, least: int) -> None:
+    """Raise ValueError unless value is an integer (``operator.index``) >= least."""
+    try:
+        valid = operator.index(value) >= least
+    except TypeError:
+        valid = False
+    if not valid:
+        raise ValueError(f"{name} must be an integer >= {least}, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -36,7 +47,8 @@ class Dataset:
             raise ValueError("values must be a 2-d matrix")
         if values.shape[1] < 1:
             raise ValueError("dataset needs at least one data point")
-        if not (0 <= self.n_outputs < values.shape[0]):
+        check_integer("n_outputs", self.n_outputs, 0)
+        if self.n_outputs >= values.shape[0]:
             raise ValueError(
                 f"n_outputs={self.n_outputs} leaves no feature rows "
                 f"(dataset has {values.shape[0]} rows)"

@@ -8,15 +8,15 @@ minimum-degree node against its non-neighbors, plus its pairwise
 non-adjacent neighbors) is the standard exactness argument: some minimum
 cut either excludes that node or separates two of its neighbors.
 
-The flow is found by shortest augmenting paths over a bit-parallel residual
-network.  Each split node keeps its open out-arcs as one Python-int bitmask,
-so a breadth-first layer expands with one OR per node and stops as soon as
-the sink bit appears.  With unit vertex capacities every arc carries flow 0
-or 1, so an augmentation only flips arc bits.  The search that finds no
-path leaves the residual-reachable source side, whose crossing internal
-arcs are the cut.  That side is the same for every maximum flow (Picard &
-Queyranne 1980), so the chosen cut does not depend on which augmenting
-paths were taken.
+The flow is found in Dinic phases over a bit-parallel residual network.
+Each split node keeps its open out-arcs as one Python-int bitmask, so a
+breadth-first layer expands with one OR per node.  A phase builds one
+layering up to the sink, then takes depth-first augmenting paths along it
+until none is left; with unit vertex capacities an augmentation only flips
+arc bits.  The layering that misses the sink leaves the residual-reachable
+source side, whose crossing internal arcs are the cut.  That side is the
+same for every maximum flow (Picard & Queyranne 1980), so the chosen cut
+does not depend on which augmenting paths were taken.
 """
 
 from __future__ import annotations
@@ -71,13 +71,8 @@ def _residual_masks(g: Graph, order: dict[int, int]) -> list[int]:
     return res
 
 
-def _search(res: list[int], source: int, sink: int) -> tuple[list[int] | None, int]:
-    """Breadth-first search of the residual network, one layer mask at a time.
-
-    Returns a shortest augmenting path, sink first, or None together with
-    the mask of split nodes reachable from the source once the sink is cut
-    off.
-    """
+def _level_layers(res: list[int], source: int, sink: int) -> tuple[list[int] | None, int]:
+    """Breadth-first layers up to the sink, or None and the source's reach."""
     sink_bit = 1 << sink
     seen = frontier = 1 << source
     layers = []
@@ -88,25 +83,11 @@ def _search(res: list[int], source: int, sink: int) -> tuple[list[int] | None, i
             low = frontier & -frontier
             step |= res[low.bit_length() - 1]
             if step & sink_bit:
-                return _path_back(res, layers, sink), seen
+                return layers + [sink_bit], seen
             frontier ^= low
         frontier = step & ~seen
         seen |= frontier
     return None, seen
-
-
-def _path_back(res: list[int], layers: list[int], sink: int) -> list[int]:
-    """Walk from the sink back through the BFS layers to the source."""
-    path = [sink]
-    for layer in reversed(layers):
-        # some node of each layer has an arc to the node found after it
-        v_bit = 1 << path[-1]
-        u = (layer & -layer).bit_length() - 1
-        while not res[u] & v_bit:
-            layer &= layer - 1
-            u = (layer & -layer).bit_length() - 1
-        path.append(u)
-    return path
 
 
 def _min_vertex_cut(base: list[int], source: int, sink: int, in_nodes: int) -> int:
@@ -115,24 +96,43 @@ def _min_vertex_cut(base: list[int], source: int, sink: int, in_nodes: int) -> i
     Every arc carries flow 0 or 1: an in-node other than the sink forwards
     at most its unit internal capacity, an out-node other than the source
     receives at most that unit, and the terminals are not adjacent.  So one
-    bit per arc tracks the residual exactly.
+    bit per arc tracks the residual exactly, and a phase routes at most one
+    path through each node: it takes depth-first paths along one layering
+    until its narrowest layer is spent or the source is a dead end.  A dead
+    end stays one for the phase, as augmenting opens only backward arcs.
     """
     res = base[:]
-    while True:
-        path, reach = _search(res, source, sink)
-        if path is None:
-            break
-        for v, u in zip(path, path[1:]):
-            if u >> 1 == v >> 1:
-                # one vertex's internal arc, either way: its unit moves across
-                res[u] ^= 1 << v
-                res[v] ^= 1 << u
-            elif u & 1:
-                # out-node to in-node: the infinite arc opens its reverse
-                res[v] |= 1 << u
-            else:
-                # in-node to out-node: back along an infinite arc, cancelling its unit
-                res[u] &= ~(1 << v)
+    used = 0  # in-nodes of the vertices that carry flow
+    layers, reach = _level_layers(res, source, sink)
+    while layers is not None:
+        # only the sink's neighbours enter it, and an idle in-node leaves
+        # only to its own out-node
+        layers[-2] &= base[sink + 1] << 1
+        layers[-3] &= layers[-2] >> 1 | used
+        for _ in range(min(map(int.bit_count, layers[1:-1]))):
+            path = [source]
+            while path and path[-1] != sink:
+                step = res[path[-1]] & layers[len(path)]
+                if step:
+                    path.append((step & -step).bit_length() - 1)
+                else:
+                    u = path.pop()
+                    layers[len(path)] &= ~(1 << u)
+            if not path:
+                break
+            for u, v in zip(path, path[1:]):
+                if u >> 1 == v >> 1:
+                    # one vertex's internal arc, either way: its unit moves across
+                    res[u] ^= 1 << v
+                    res[v] ^= 1 << u
+                    used ^= 1 << (u & ~1)
+                elif u & 1:
+                    # out-node to in-node: the infinite arc opens its reverse
+                    res[v] |= 1 << u
+                else:
+                    # in-node to out-node: back along an infinite arc, cancelling its unit
+                    res[u] &= ~(1 << v)
+        layers, reach = _level_layers(res, source, sink)
     # saturated internal arcs crossing the frontier are the cut vertices
     return reach & ~(reach >> 1) & in_nodes
 

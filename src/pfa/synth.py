@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dataset import Dataset
+from .dataset import Dataset, check_integer
 
 SCENARIOS = ("example1", "example2", "example3", "example4", "custom")
 
@@ -55,8 +55,8 @@ class SynthSpec:
             raise ValueError(
                 f"unknown scenario {self.scenario!r}; expected one of {SCENARIOS}"
             )
-        if self.n_points < 1:
-            raise ValueError(f"n_points must be >= 1, got {self.n_points}")
+        check_integer("n_points", self.n_points, 1)
+        check_integer("seed", self.seed, 0)
         if self.scenario == "custom" and self.dag is None:
             raise ValueError("custom scenario needs a DagSpec")
 
@@ -104,6 +104,9 @@ def generate(spec: SynthSpec) -> Dataset:
 
 def random_dag(n_base: int, n_derived: int, seed: int, max_parents: int = 3) -> DagSpec:
     """Random product DAG whose derived rows have 2..max_parents base parents."""
+    check_integer("max_parents", max_parents, 2)
+    if max_parents > n_base:
+        raise ValueError(f"max_parents must be <= n_base={n_base}, got {max_parents}")
     rng = random.Random(seed)
     derived = tuple(
         tuple(sorted(rng.sample(range(n_base), rng.randint(2, max_parents))))

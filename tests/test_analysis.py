@@ -458,6 +458,11 @@ class TestRobustIntersection:
         with pytest.raises(ValueError, match="runs"):
             robust_intersection(ds, PfaConfig(nu=50), runs=0, fraction=0.9)
 
+    def test_rejects_a_non_integer_runs(self):
+        ds = generate(SynthSpec("example1", 500, seed=0))
+        with pytest.raises(ValueError, match=r"runs must be an integer >= 1, got 2\.5"):
+            robust_intersection(ds, PfaConfig(nu=50), runs=2.5, fraction=0.9)
+
     def test_rejects_a_fraction_above_one(self):
         ds = generate(SynthSpec("example1", 500, seed=0))
         with pytest.raises(ValueError, match="fraction must be in"):

@@ -77,6 +77,16 @@ class TestSynthCommand:
             paths.append(out.read_bytes())
         assert paths[0] == paths[1]
 
+    def test_negative_seed_named_and_nothing_written(self, tmp_path, capsys):
+        out = tmp_path / "s.csv"
+        code = run_cli(
+            "synth", "--scenario", "example1", "--n", "10", "--seed", "-1",
+            "--out", str(out),
+        )
+        assert code == 1
+        assert "pfa: error: seed must be an integer >= 0, got -1" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_custom_scenario_not_offered(self, tmp_path, capsys):
         # custom needs a DagSpec, which the command line cannot give
         with pytest.raises(SystemExit):

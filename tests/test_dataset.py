@@ -217,6 +217,15 @@ class TestDatasetValidation:
         with pytest.raises(ValueError):
             Dataset(np.ones((2, 3)), n_outputs=2)
 
+    @pytest.mark.parametrize("n_outputs", [1.5, "1", None])
+    def test_rejects_a_non_integer_n_outputs(self, n_outputs):
+        # a float would otherwise fail later, where ranges are sized from it
+        with pytest.raises(ValueError, match="n_outputs must be an integer >= 0"):
+            Dataset(np.ones((2, 3)), n_outputs=n_outputs)
+
+    def test_accepts_a_numpy_integer_n_outputs(self):
+        assert Dataset(np.ones((2, 3)), n_outputs=np.int64(1)).n_features == 1
+
     def test_equal_datasets_hash_equal(self):
         a = Dataset(np.ones((2, 3)), 1)
         same = Dataset(np.ones((2, 3), dtype=np.float32), 1)

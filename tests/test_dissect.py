@@ -129,6 +129,17 @@ class TestNetworkxOracle:
                 checked += 1
         assert checked >= 200
 
+    def test_large_graphs_match_node_connectivity(self):
+        for g in large_graphs():
+            assert len(min_node_cut(g)) == nx.node_connectivity(to_networkx(g))
+
+
+def large_graphs():
+    """Connected graphs of 120-200 nodes with vertex connectivity 10, 23 and 10."""
+    yield random_graph(120, 0.15, seed=2)
+    yield random_graph(150, 0.25, seed=1)
+    yield random_graph(200, 0.1, seed=3)
+
 
 def pinned_corpus():
     """Random graphs of 15-60 nodes, sparse to dense, some disconnected."""
@@ -138,24 +149,38 @@ def pinned_corpus():
         yield random_graph(n, p, seed=seed)
 
 
+def removal_log_sha256(graphs, tie_seeds):
+    digest = hashlib.sha256()
+    for g in graphs:
+        for tie_seed in tie_seeds:
+            result = dissect(g, tie_seed)
+            log = [
+                (r.step, sorted(r.nodes), sorted(r.from_component))
+                for r in result.removals
+            ]
+            digest.update(repr(log).encode())
+    return digest.hexdigest()
+
+
 class TestPinnedCuts:
     # sha256 of the removal logs below as computed by the dict-based
     # Edmonds-Karp engine this bitset search replaced
     REMOVAL_LOG_SHA256 = (
         "0e799e8d0fc423edb788376e92e3e87d5253f888f816ff2d9111f68f53d7342e"
     )
+    # as computed by the bitset search with one breadth-first search per
+    # augmenting path, before the flow moved to Dinic phases
+    LARGE_REMOVAL_LOG_SHA256 = (
+        "c1ff25a2ab18cda3802cc3078b313b80fe0c69724607eb7d0a2d915cab41edc4"
+    )
 
     def test_removal_logs_match_the_reference_engine(self):
-        digest = hashlib.sha256()
-        for g in pinned_corpus():
-            for tie_seed in (None, 0, 1, 2, 3):
-                result = dissect(g, tie_seed)
-                log = [
-                    (r.step, sorted(r.nodes), sorted(r.from_component))
-                    for r in result.removals
-                ]
-                digest.update(repr(log).encode())
-        assert digest.hexdigest() == self.REMOVAL_LOG_SHA256
+        digest = removal_log_sha256(pinned_corpus(), (None, 0, 1, 2, 3))
+        assert digest == self.REMOVAL_LOG_SHA256
+
+    def test_large_graph_removal_logs_match_the_path_search(self):
+        digest = removal_log_sha256(large_graphs(), (None, 0))
+        assert digest == self.LARGE_REMOVAL_LOG_SHA256
 
 
 class TestDissect:

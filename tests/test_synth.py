@@ -46,6 +46,19 @@ class TestScenarios:
         with pytest.raises(ValueError, match="unknown scenario"):
             SynthSpec("example9", 10, seed=0)
 
+    @pytest.mark.parametrize(
+        "n_points, seed, message",
+        [
+            (0, 0, "n_points must be an integer >= 1, got 0"),
+            (2.5, 0, "n_points must be an integer >= 1, got 2.5"),
+            (10, -1, "seed must be an integer >= 0, got -1"),
+            (10, 1.5, "seed must be an integer >= 0, got 1.5"),
+        ],
+    )
+    def test_rejects_a_bad_size_or_seed(self, n_points, seed, message):
+        with pytest.raises(ValueError, match=message):
+            SynthSpec("example1", n_points, seed=seed)
+
 
 class TestCustomDag:
     def test_products_match_parents(self):
@@ -59,6 +72,22 @@ class TestCustomDag:
     def test_custom_requires_dag(self):
         with pytest.raises(ValueError, match="DagSpec"):
             SynthSpec("custom", 10, seed=0)
+
+    def test_random_dag_draws_are_pinned(self):
+        # the argument checks come before any draw, so valid inputs keep these
+        assert random_dag(10, 5, seed=3).derived == (
+            (8, 9), (5, 7), (0, 9), (3, 4, 8), (7, 8)
+        )
+        assert random_dag(2, 4, seed=0, max_parents=2).derived == ((0, 1),) * 4
+
+    def test_random_dag_rejects_more_parents_than_bases(self):
+        with pytest.raises(ValueError, match="max_parents must be <= n_base=2, got 3"):
+            random_dag(2, 5, seed=0)
+
+    @pytest.mark.parametrize("max_parents", [1, 2.5])
+    def test_random_dag_rejects_a_bad_max_parents(self, max_parents):
+        with pytest.raises(ValueError, match="max_parents must be an integer >= 2"):
+            random_dag(5, 3, seed=0, max_parents=max_parents)
 
     def test_random_dag_is_deterministic(self):
         assert random_dag(10, 5, seed=3) == random_dag(10, 5, seed=3)
