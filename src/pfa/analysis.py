@@ -12,6 +12,7 @@ relevance and MI filters; ``robust_intersection`` repeats it on subsamples.
 
 from __future__ import annotations
 
+import operator
 import random
 from dataclasses import dataclass, field, replace
 
@@ -19,7 +20,7 @@ from .binning import DiscretizedFeature, discretize_all
 from .dataset import Dataset, check_integer, subsample
 from .depgraph import IndependenceCache, build_graph
 from .dissect import Removal, dissect
-from .stats import DEFAULT_MIN_EXPECTED, DOF_MODES, mutual_information
+from .stats import DEFAULT_MIN_EXPECTED, mutual_information
 
 BATCHING_MODES = ("ordered", "random")
 
@@ -35,21 +36,23 @@ class PfaConfig:
     seed: int = 0
     tie_seed: int | None = None
     min_expected: float = DEFAULT_MIN_EXPECTED
-    dof_mode: str = "independence"
     theta: float | None = None
 
     def __post_init__(self):
         for name, least in (("nu", 1), ("ns", 2), ("seed", 0)):
             check_integer(name, getattr(self, name), least)
+        if self.tie_seed is not None:  # any integer, negative too, seeds random.Random
+            try:
+                operator.index(self.tie_seed)
+            except TypeError:
+                raise ValueError(
+                    f"tie_seed must be an integer or None, got {self.tie_seed!r}"
+                ) from None
         if not 0.0 < self.alpha < 1.0:
             raise ValueError(f"alpha must be in (0, 1), got {self.alpha}")
         if self.batching not in BATCHING_MODES:
             raise ValueError(
                 f"batching must be one of {BATCHING_MODES}, got {self.batching!r}"
-            )
-        if self.dof_mode not in DOF_MODES:
-            raise ValueError(
-                f"dof_mode must be one of {DOF_MODES}, got {self.dof_mode!r}"
             )
         if not self.min_expected >= 0.0:  # NaN fails every comparison
             raise ValueError(f"min_expected must be >= 0, got {self.min_expected}")
@@ -116,7 +119,7 @@ def run_pfa(ds: Dataset, cfg: PfaConfig) -> PfaResult:
     discretized = {i + 1: d for i, d in enumerate(disc_rows)}
     constants = [i for i in ds.feature_ids if not discretized[i].testable]
     nodes = [i for i in ds.feature_ids if discretized[i].testable]
-    cache = IndependenceCache(discretized, cfg.alpha, cfg.min_expected, cfg.dof_mode)
+    cache = IndependenceCache(discretized, cfg.alpha, cfg.min_expected)
 
     removals: list[Removal] = []
     rng = random.Random(cfg.seed)

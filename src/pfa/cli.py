@@ -22,7 +22,6 @@ from dataclasses import asdict, fields
 
 from . import analysis, dataset, synth
 from .dissect import Removal
-from .stats import DOF_MODES
 
 
 def _log(message: str) -> None:
@@ -154,6 +153,7 @@ def cmd_robust(args) -> int:
 
 
 def cmd_synth(args) -> int:
+    dataset.check_integer("--n", args.n, 1)  # names the flag, not SynthSpec's field
     spec = synth.SynthSpec(scenario=args.scenario, n_points=args.n, seed=args.seed)
     ds = synth.generate(spec)
     dataset.save_csv(ds, args.out)
@@ -185,7 +185,6 @@ def _add_common_run_flags(parser: argparse.ArgumentParser) -> None:
     config_flag("seed", type=int)
     config_flag("tie_seed", type=int)
     config_flag("min_expected", type=float)
-    config_flag("dof_mode", choices=DOF_MODES)
     parser.add_argument("--out", required=True, help="output path prefix")
 
 

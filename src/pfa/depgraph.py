@@ -21,12 +21,10 @@ class IndependenceCache:
         features: dict[int, DiscretizedFeature],
         alpha: float,
         min_expected: float = DEFAULT_MIN_EXPECTED,
-        dof_mode: str = "independence",
     ):
         self.features = features
         self.alpha = alpha
         self.min_expected = min_expected
-        self.dof_mode = dof_mode
         self.verdicts: dict[tuple[int, int], IndependenceVerdict] = {}
 
     @property
@@ -46,11 +44,7 @@ class IndependenceCache:
     def _compute(self, key: tuple[int, int]) -> IndependenceVerdict:
         i, j = key
         return is_independent(
-            self.features[i],
-            self.features[j],
-            self.alpha,
-            self.min_expected,
-            self.dof_mode,
+            self.features[i], self.features[j], self.alpha, self.min_expected
         )
 
     def verdict(self, i: int, j: int) -> IndependenceVerdict:

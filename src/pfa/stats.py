@@ -9,7 +9,8 @@ statistic ranges this package produces.
 A pair test and the mutual information take their marginals from the
 features' cached ``bin_counts`` and their integer joint counts from one
 ``np.bincount`` over the flat code ``a * l + b``, computed in the smallest
-unsigned dtype that holds ``k * l``.
+unsigned dtype that holds ``k * l``.  A ``k`` by ``l`` table, whose margins
+come from the data, is tested with ``dof = (k - 1) * (l - 1)`` (Fisher 1922).
 The chi-square statistic is an exact sum of its cells, correctly rounded
 as ``math.fsum`` is, so its bits do not depend on the order of the cells
 or on the summation method.  Large tables split each cell's mantissa
@@ -40,8 +41,6 @@ _BUCKET_MAX_TERMS = 2**26
 
 #: conventional minimum expected cell count for the normal approximation
 DEFAULT_MIN_EXPECTED = 5.0
-
-DOF_MODES = ("independence", "cells_minus_one")
 
 
 @dataclass(frozen=True)
@@ -162,20 +161,11 @@ def chi_square_p_value(chi2: float, dof: int) -> float:
     return regularized_upper_gamma(dof / 2.0, chi2 / 2.0)
 
 
-def degrees_of_freedom(k: int, l: int, mode: str = "independence") -> int:
-    if mode == "independence":
-        return (k - 1) * (l - 1)
-    if mode == "cells_minus_one":
-        return k * l - 1
-    raise ValueError(f"unknown dof mode {mode!r}; expected one of {DOF_MODES}")
-
-
 def is_independent(
     a: DiscretizedFeature,
     b: DiscretizedFeature,
     alpha: float,
     min_expected: float = DEFAULT_MIN_EXPECTED,
-    dof_mode: str = "independence",
 ) -> IndependenceVerdict:
     """Chi-square independence verdict for a pair of binned variables.
 
@@ -203,7 +193,7 @@ def is_independent(
     if row_min == 0.0 or col_min == 0.0:
         raise ValueError("contingency table has a zero expected cell")
     chi2 = _exact_sum(((observed - expected) ** 2 / expected).ravel())
-    dof = degrees_of_freedom(a.n_bins, b.n_bins, dof_mode)
+    dof = (a.n_bins - 1) * (b.n_bins - 1)
     p = chi_square_p_value(chi2, dof)
     return IndependenceVerdict(
         chi2=chi2,

@@ -10,7 +10,7 @@ import numpy as np
 from pfa.dataset import Dataset, DatasetError
 from pfa.depgraph import Graph, connected_components, is_complete, is_connected
 from pfa.dissect import CompleteGraphError, DissectionResult
-from pfa.stats import IndependenceVerdict, degrees_of_freedom
+from pfa.stats import IndependenceVerdict
 
 BRUTE_FORCE_NODE_LIMIT = 14
 
@@ -303,13 +303,13 @@ def scalar_p_value(chi2: float, dof: int) -> float:
     return min(1.0, max(0.0, q))
 
 
-def fsum_is_independent(a, b, alpha, min_expected=5.0, dof_mode="independence"):
+def fsum_is_independent(a, b, alpha, min_expected=5.0):
     """Oracle for ``is_independent``: table, fsum, p-value, smallest-cell guard."""
     if not a.testable or not b.testable:
         return IndependenceVerdict(0.0, 0, 1.0, True, True)
     observed, _, _, _, expected = fsum_contingency(a, b)
     chi2 = fsum_chi_square_statistic(observed, expected)
-    dof = degrees_of_freedom(a.n_bins, b.n_bins, dof_mode)
+    dof = (a.n_bins - 1) * (b.n_bins - 1)
     p = scalar_p_value(chi2, dof)
     return IndependenceVerdict(
         chi2=chi2,

@@ -26,7 +26,7 @@ class TestPfaConfig:
         assert cfg.ns == 50
         assert cfg.batching == "ordered"
         assert cfg.min_expected == 5.0
-        assert cfg.dof_mode == "independence"
+        assert cfg.tie_seed is None
 
     @pytest.mark.parametrize(
         "kwargs",
@@ -36,7 +36,6 @@ class TestPfaConfig:
             {"nu": 10, "alpha": 1.0},
             {"nu": 10, "ns": 1},
             {"nu": 10, "batching": "sideways"},
-            {"nu": 10, "dof_mode": "bogus"},
             {"nu": 10, "theta": -0.1},
             {"nu": 10, "theta": float("nan")},
             {"nu": 10, "min_expected": float("nan")},
@@ -46,11 +45,22 @@ class TestPfaConfig:
             {"nu": 10, "seed": 2.5},
             {"nu": 10, "seed": -1},
             {"nu": 10, "seed": "x"},
+            {"nu": 10, "tie_seed": 2.5},
+            {"nu": 10, "tie_seed": "x"},
+            {"nu": 10, "tie_seed": [1]},
         ],
     )
     def test_rejects_bad_values(self, kwargs):
         with pytest.raises(ValueError):
             PfaConfig(**kwargs)
+
+    def test_accepts_a_negative_tie_seed(self):
+        assert PfaConfig(nu=10, tie_seed=-1).tie_seed == -1
+
+    def test_has_no_dof_mode(self):
+        # the pair test has one rule, dof = (k - 1) * (l - 1)
+        with pytest.raises(TypeError):
+            PfaConfig(nu=10, dof_mode="independence")
 
 
 class TestRunPfa:

@@ -87,6 +87,13 @@ class TestSynthCommand:
         assert "pfa: error: seed must be an integer >= 0, got -1" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_zero_points_names_the_flag_and_nothing_written(self, tmp_path, capsys):
+        out = tmp_path / "z.csv"
+        code = run_cli("synth", "--scenario", "example1", "--n", "0", "--out", str(out))
+        assert code == 1
+        assert "pfa: error: --n must be an integer >= 1, got 0" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_custom_scenario_not_offered(self, tmp_path, capsys):
         # custom needs a DagSpec, which the command line cannot give
         with pytest.raises(SystemExit):
@@ -160,6 +167,19 @@ class TestRunCommand:
         assert exit_info.value.code == 2
         assert "unrecognized arguments: --threads" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command", ["run", "robust"])
+    def test_dof_mode_flag_refused(self, command, example1_csv, tmp_path, capsys):
+        # one chi-square rule, dof = (k - 1) * (l - 1): nothing to choose
+        with pytest.raises(SystemExit) as exit_info:
+            run_cli(
+                command, "--input", str(example1_csv), "--n-outputs", "0",
+                "--nu", "100", "--dof-mode", "independence",
+                "--out", str(tmp_path / "out"),
+            )
+        assert exit_info.value.code == 2
+        assert "unrecognized arguments: --dof-mode" in capsys.readouterr().err
+        assert list(tmp_path.glob("out*")) == []
+
     def test_config_echo_holds_the_config_defaults(self, example1_csv, tmp_path):
         prefix = tmp_path / "out"
         run_cli(
@@ -174,7 +194,7 @@ class TestRunCommand:
         }
         assert list(report["config"]) == [
             "input", "n_outputs", "nu", "alpha", "ns", "batching", "seed",
-            "tie_seed", "min_expected", "dof_mode", "theta",
+            "tie_seed", "min_expected", "theta",
         ]
 
     def test_missing_input_fails_without_artifacts(self, tmp_path):

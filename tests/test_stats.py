@@ -15,7 +15,6 @@ from pfa import stats
 from pfa.binning import DiscretizedFeature, discretize
 from pfa.stats import (
     chi_square_p_value,
-    degrees_of_freedom,
     is_independent,
     mutual_information,
     regularized_upper_gamma,
@@ -187,11 +186,11 @@ class TestIsIndependent:
         verdict = is_independent(a, b, alpha=0.01)
         assert not verdict.guard_ok
 
-    def test_dof_modes(self):
-        assert degrees_of_freedom(5, 3, "independence") == 8
-        assert degrees_of_freedom(5, 3, "cells_minus_one") == 14
-        with pytest.raises(ValueError):
-            degrees_of_freedom(2, 2, "bogus")
+    def test_dof_of_a_5_by_3_table_is_8(self):
+        a = feature(np.arange(300) % 5)
+        b = feature(np.arange(300) // 100)
+        assert (a.n_bins, b.n_bins) == (5, 3)
+        assert is_independent(a, b, alpha=0.01).dof == 8
 
     def test_matching_distribution_independent_for_any_alpha(self):
         const = feature([0] * 100, n_bins=1)
@@ -243,9 +242,8 @@ class TestMatchesFsumOracle:
 
     def assert_same_verdict(self, a, b, alpha=0.01, min_expected=5.0):
         for x, y in ((a, b), (b, a)):
-            for dof_mode in ("independence", "cells_minus_one"):
-                mine = is_independent(x, y, alpha, min_expected, dof_mode)
-                assert mine == fsum_is_independent(x, y, alpha, min_expected, dof_mode)
+            mine = is_independent(x, y, alpha, min_expected)
+            assert mine == fsum_is_independent(x, y, alpha, min_expected)
 
     @pytest.mark.parametrize("seed", range(6))
     def test_random_tables(self, seed):
