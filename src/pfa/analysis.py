@@ -20,7 +20,7 @@ from .binning import DiscretizedFeature, discretize_all
 from .dataset import Dataset, check_integer, subsample
 from .depgraph import IndependenceCache, build_graph
 from .dissect import Removal, dissect
-from .stats import DEFAULT_MIN_EXPECTED, mutual_information
+from .stats import MIN_EXPECTED, mutual_information
 
 BATCHING_MODES = ("ordered", "random")
 
@@ -35,7 +35,6 @@ class PfaConfig:
     batching: str = "ordered"
     seed: int = 0
     tie_seed: int | None = None
-    min_expected: float = DEFAULT_MIN_EXPECTED
     theta: float | None = None
 
     def __post_init__(self):
@@ -54,8 +53,6 @@ class PfaConfig:
             raise ValueError(
                 f"batching must be one of {BATCHING_MODES}, got {self.batching!r}"
             )
-        if not self.min_expected >= 0.0:  # NaN fails every comparison
-            raise ValueError(f"min_expected must be >= 0, got {self.min_expected}")
         if self.theta is not None and not self.theta >= 0.0:
             raise ValueError(f"theta must be >= 0, got {self.theta}")
 
@@ -102,11 +99,20 @@ def _partition(nodes: list[int], ns: int, batching: str, rng: random.Random):
 def _guard_warnings(cache: IndependenceCache) -> list[str]:
     """One message per guard-failing verdict of the cache, in insertion order."""
     return [
-        f"expected frequency below {cache.min_expected} for pair "
+        f"expected frequency below {MIN_EXPECTED} for pair "
         f"{i}-{j}; consider increasing nu"
         for (i, j), verdict in cache.verdicts.items()
         if not verdict.guard_ok
     ]
+
+
+def _check_nu(nu: int, n_points: int) -> None:
+    # a variable gets a second bin only from 2 * nu points on
+    if n_points < 2 * nu:
+        raise ValueError(
+            f"nu={nu} leaves every variable a single bin: "
+            f"n_points={n_points} is below 2 * nu"
+        )
 
 
 def run_pfa(ds: Dataset, cfg: PfaConfig) -> PfaResult:
@@ -114,12 +120,15 @@ def run_pfa(ds: Dataset, cfg: PfaConfig) -> PfaResult:
 
     Passes repeat until one holds all remaining nodes in a single sublist.
     After a pass of several sublists that removes nothing, the next one does.
+    A ``nu`` above half the point count is refused, since no variable could
+    then be tested.
     """
+    _check_nu(cfg.nu, ds.n_points)
     disc_rows = discretize_all(ds, cfg.nu)
     discretized = {i + 1: d for i, d in enumerate(disc_rows)}
     constants = [i for i in ds.feature_ids if not discretized[i].testable]
     nodes = [i for i in ds.feature_ids if discretized[i].testable]
-    cache = IndependenceCache(discretized, cfg.alpha, cfg.min_expected)
+    cache = IndependenceCache(discretized, cfg.alpha)
 
     removals: list[Removal] = []
     rng = random.Random(cfg.seed)
@@ -261,6 +270,8 @@ def robust_intersection(
     for run_index in range(runs):
         run_seed = cfg.seed + run_index
         sample = subsample(ds, fraction, run_seed)
+        # every sample has one size, so run 0 refuses a bad nu, unwrapped
+        _check_nu(cfg.nu, sample.n_points)
         try:
             result = analyze(sample, replace(cfg, seed=run_seed))
         except Exception as exc:

@@ -184,7 +184,6 @@ def _add_common_run_flags(parser: argparse.ArgumentParser) -> None:
     config_flag("batching", choices=analysis.BATCHING_MODES)
     config_flag("seed", type=int)
     config_flag("tie_seed", type=int)
-    config_flag("min_expected", type=float)
     parser.add_argument("--out", required=True, help="output path prefix")
 
 

@@ -10,21 +10,15 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .binning import DiscretizedFeature
-from .stats import DEFAULT_MIN_EXPECTED, IndependenceVerdict, is_independent
+from .stats import IndependenceVerdict, is_independent
 
 
 class IndependenceCache:
     """Memoized pairwise independence verdicts over a fixed discretization."""
 
-    def __init__(
-        self,
-        features: dict[int, DiscretizedFeature],
-        alpha: float,
-        min_expected: float = DEFAULT_MIN_EXPECTED,
-    ):
+    def __init__(self, features: dict[int, DiscretizedFeature], alpha: float):
         self.features = features
         self.alpha = alpha
-        self.min_expected = min_expected
         self.verdicts: dict[tuple[int, int], IndependenceVerdict] = {}
 
     @property
@@ -43,9 +37,7 @@ class IndependenceCache:
 
     def _compute(self, key: tuple[int, int]) -> IndependenceVerdict:
         i, j = key
-        return is_independent(
-            self.features[i], self.features[j], self.alpha, self.min_expected
-        )
+        return is_independent(self.features[i], self.features[j], self.alpha)
 
     def verdict(self, i: int, j: int) -> IndependenceVerdict:
         key = self._key(i, j)

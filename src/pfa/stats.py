@@ -11,6 +11,9 @@ features' cached ``bin_counts`` and their integer joint counts from one
 ``np.bincount`` over the flat code ``a * l + b``, computed in the smallest
 unsigned dtype that holds ``k * l``.  A ``k`` by ``l`` table, whose margins
 come from the data, is tested with ``dof = (k - 1) * (l - 1)`` (Fisher 1922).
+Its expected-frequency guard is Cochran's rule (Biometrics 1954): every
+expected cell must hold at least ``MIN_EXPECTED = 5`` points.  The guard
+changes no verdict; a table that fails it is flagged with ``guard_ok``.
 The chi-square statistic is an exact sum of its cells, correctly rounded
 as ``math.fsum`` is, so its bits do not depend on the order of the cells
 or on the summation method.  Large tables split each cell's mantissa
@@ -39,8 +42,8 @@ _FSUM_MAX_CELLS = 700
 #: a bucket's float sums of 27-bit integers stay exact below this many terms
 _BUCKET_MAX_TERMS = 2**26
 
-#: conventional minimum expected cell count for the normal approximation
-DEFAULT_MIN_EXPECTED = 5.0
+#: Cochran's minimum expected cell count for the chi-square approximation
+MIN_EXPECTED = 5.0
 
 
 @dataclass(frozen=True)
@@ -165,19 +168,19 @@ def is_independent(
     a: DiscretizedFeature,
     b: DiscretizedFeature,
     alpha: float,
-    min_expected: float = DEFAULT_MIN_EXPECTED,
 ) -> IndependenceVerdict:
     """Chi-square independence verdict for a pair of binned variables.
 
     A variable with a single bin (constant over the measurements) is
     unconditionally independent of anything.  The hypothesis is rejected
-    when p < alpha; the boundary p == alpha counts as not rejected.  A
-    minimum-expected-frequency violation is reported via guard_ok rather
-    than raised: the remedy is a coarser binning, not an abort.
+    when p < alpha; the boundary p == alpha counts as not rejected.
+    ``guard_ok`` is Cochran's rule, every expected cell at least
+    ``MIN_EXPECTED`` (5); a table that breaks it keeps its verdict and is
+    only flagged, since the remedy is a coarser binning, not an abort.
 
     The statistic sums ``(observed - expected)**2 / expected`` over the
     joint counts, with ``expected`` the outer product of the cached bin
-    counts over n.  The guard equals ``expected.min() >= min_expected``:
+    counts over n.  The guard equals ``expected.min() >= MIN_EXPECTED``:
     rounding is monotone, so the smallest expected cell is the one of the
     two smallest marginals.
     """
@@ -200,7 +203,7 @@ def is_independent(
         dof=dof,
         p_value=p,
         independent=p >= alpha,
-        guard_ok=bool(row_min * col_min / a.n_points >= min_expected),
+        guard_ok=bool(row_min * col_min / a.n_points >= MIN_EXPECTED),
     )
 
 

@@ -303,7 +303,7 @@ def scalar_p_value(chi2: float, dof: int) -> float:
     return min(1.0, max(0.0, q))
 
 
-def fsum_is_independent(a, b, alpha, min_expected=5.0):
+def fsum_is_independent(a, b, alpha):
     """Oracle for ``is_independent``: table, fsum, p-value, smallest-cell guard."""
     if not a.testable or not b.testable:
         return IndependenceVerdict(0.0, 0, 1.0, True, True)
@@ -316,5 +316,5 @@ def fsum_is_independent(a, b, alpha, min_expected=5.0):
         dof=dof,
         p_value=p,
         independent=p >= alpha,
-        guard_ok=bool(expected.min() >= min_expected),
+        guard_ok=bool(expected.min() >= 5.0),
     )

@@ -25,7 +25,6 @@ class TestPfaConfig:
         assert cfg.alpha == 0.01
         assert cfg.ns == 50
         assert cfg.batching == "ordered"
-        assert cfg.min_expected == 5.0
         assert cfg.tie_seed is None
 
     @pytest.mark.parametrize(
@@ -38,8 +37,6 @@ class TestPfaConfig:
             {"nu": 10, "batching": "sideways"},
             {"nu": 10, "theta": -0.1},
             {"nu": 10, "theta": float("nan")},
-            {"nu": 10, "min_expected": float("nan")},
-            {"nu": 10, "min_expected": -1.0},
             {"nu": 2.5},
             {"nu": 10, "ns": 2.5},
             {"nu": 10, "seed": 2.5},
@@ -61,6 +58,11 @@ class TestPfaConfig:
         # the pair test has one rule, dof = (k - 1) * (l - 1)
         with pytest.raises(TypeError):
             PfaConfig(nu=10, dof_mode="independence")
+
+    def test_has_no_min_expected(self):
+        # the guard is Cochran's fixed 5, stats.MIN_EXPECTED
+        with pytest.raises(TypeError):
+            PfaConfig(nu=10, min_expected=5.0)
 
 
 class TestRunPfa:
@@ -89,6 +91,25 @@ class TestRunPfa:
         result = run_pfa(Dataset(rows, n_outputs=0), PfaConfig(nu=100))
         assert result.constants == [2]
         assert result.principal_features == {1}
+
+    def test_rejects_a_nu_that_leaves_one_bin_before_binning(self, monkeypatch):
+        # 2 * nu points are needed for a second bin: at nu=501 of 1,000 no
+        # row could be tested, and none is constant
+        ds = generate(SynthSpec("example1", 1000, seed=0))
+
+        def no_binning(*args):
+            raise AssertionError("binned before validating nu")
+
+        monkeypatch.setattr("pfa.analysis.discretize_all", no_binning)
+        with pytest.raises(ValueError, match=r"nu=501 .*n_points=1000"):
+            run_pfa(ds, PfaConfig(nu=501))
+
+    def test_nu_of_half_the_points_gives_two_bins(self):
+        ds = generate(SynthSpec("example1", 1000, seed=0))
+        result = run_pfa(ds, PfaConfig(nu=500))
+        assert result.constants == []
+        assert {d.n_bins for d in result.discretized.values()} == {2}
+        assert result.principal_features
 
     def test_batched_matches_direct_dissection(self):
         # small sublists force multiple batching passes; the survivors
@@ -477,6 +498,24 @@ class TestRobustIntersection:
         ds = generate(SynthSpec("example1", 500, seed=0))
         with pytest.raises(ValueError, match="fraction must be in"):
             robust_intersection(ds, PfaConfig(nu=50), runs=1, fraction=1.5)
+
+    def test_nu_checked_on_the_subsample_before_any_run(self, monkeypatch):
+        # 900 of 1,000 points per subsample: nu=451 passes on the full
+        # dataset but leaves every subsampled variable a single bin
+        ds = generate(SynthSpec("example1", 1000, seed=0))
+
+        def no_run(*args):
+            raise AssertionError("ran before validating nu")
+
+        monkeypatch.setattr("pfa.analysis.analyze", no_run)
+        with pytest.raises(ValueError, match=r"nu=451 .*n_points=900"):
+            robust_intersection(ds, PfaConfig(nu=451), 2, 0.9)
+
+    def test_nu_of_half_the_subsample_runs(self):
+        ds = generate(SynthSpec("example1", 1000, seed=0))
+        _, results = robust_intersection(ds, PfaConfig(nu=450), 2, 0.9)
+        for result in results:
+            assert {d.n_bins for d in result.discretized.values()} == {2}
 
     def test_failing_run_is_named(self, monkeypatch):
         ds = generate(SynthSpec("example1", 1000, seed=0))

@@ -180,6 +180,55 @@ class TestRunCommand:
         assert "unrecognized arguments: --dof-mode" in capsys.readouterr().err
         assert list(tmp_path.glob("out*")) == []
 
+    @pytest.mark.parametrize("command", ["run", "robust"])
+    def test_min_expected_flag_refused(self, command, example1_csv, tmp_path, capsys):
+        # the guard is Cochran's fixed 5: nothing to choose
+        with pytest.raises(SystemExit) as exit_info:
+            run_cli(
+                command, "--input", str(example1_csv), "--n-outputs", "0",
+                "--nu", "100", "--min-expected", "5",
+                "--out", str(tmp_path / "out"),
+            )
+        assert exit_info.value.code == 2
+        assert "unrecognized arguments: --min-expected" in capsys.readouterr().err
+        assert list(tmp_path.glob("out*")) == []
+
+    @pytest.mark.parametrize("command", ["run", "robust"])
+    def test_nu_leaving_a_single_bin_refused(
+        self, command, example1_csv, tmp_path, capsys
+    ):
+        # 5,000 points (4,750 per robust subsample) give no variable two bins
+        code = run_cli(
+            command, "--input", str(example1_csv), "--n-outputs", "0",
+            "--nu", "2501", "--out", str(tmp_path / "out"),
+        )
+        assert code == 1
+        assert "pfa: error: nu=2501 leaves every variable a single bin" in (
+            capsys.readouterr().err
+        )
+        assert list(tmp_path.glob("out*")) == []
+
+    def test_seed_has_no_effect_under_ordered_batching(self, example2_csv, tmp_path):
+        # --seed seeds the random batching shuffle and robust's subsamples
+        blobs = {}
+        for seed in ("0", "5"):
+            prefix = tmp_path / f"seed{seed}"
+            assert run_cli(
+                "run", "--input", str(example2_csv), "--n-outputs", "1",
+                "--nu", "100", "--batching", "ordered", "--seed", seed,
+                "--out", str(prefix),
+            ) == 0
+            blobs[seed] = (
+                (tmp_path / f"seed{seed}.features.txt").read_bytes(),
+                (tmp_path / f"seed{seed}.report.json").read_text().splitlines(),
+            )
+        assert blobs["0"][0] == blobs["5"][0]
+        report0, report5 = blobs["0"][1], blobs["5"][1]
+        assert len(report0) == len(report5)
+        assert [
+            (a, b) for a, b in zip(report0, report5) if a != b
+        ] == [('    "seed": 0,', '    "seed": 5,')]
+
     def test_config_echo_holds_the_config_defaults(self, example1_csv, tmp_path):
         prefix = tmp_path / "out"
         run_cli(
@@ -194,7 +243,7 @@ class TestRunCommand:
         }
         assert list(report["config"]) == [
             "input", "n_outputs", "nu", "alpha", "ns", "batching", "seed",
-            "tie_seed", "min_expected", "theta",
+            "tie_seed", "theta",
         ]
 
     def test_missing_input_fails_without_artifacts(self, tmp_path):

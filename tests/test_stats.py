@@ -240,10 +240,11 @@ def random_feature(rng, n, n_bins, skew=0.0):
 class TestMatchesFsumOracle:
     """Verdicts and MI equal, bit for bit, those of the float-table chain."""
 
-    def assert_same_verdict(self, a, b, alpha=0.01, min_expected=5.0):
+    def assert_same_verdict(self, a, b, alpha=0.01):
         for x, y in ((a, b), (b, a)):
-            mine = is_independent(x, y, alpha, min_expected)
-            assert mine == fsum_is_independent(x, y, alpha, min_expected)
+            mine = is_independent(x, y, alpha)
+            assert mine == fsum_is_independent(x, y, alpha)
+        return mine
 
     @pytest.mark.parametrize("seed", range(6))
     def test_random_tables(self, seed):
@@ -264,22 +265,22 @@ class TestMatchesFsumOracle:
             n = int(rng.integers(200, 1000))
             a = random_feature(rng, n, int(rng.integers(20, 100)))
             b = random_feature(rng, n, int(rng.integers(20, 100)))
-            for min_expected in (0.01, 0.05, 0.25, 5.0):
-                self.assert_same_verdict(a, b, min_expected=min_expected)
+            assert not self.assert_same_verdict(a, b).guard_ok
 
     @pytest.mark.parametrize("seed", range(3))
     def test_guard_at_its_boundary(self, seed):
-        # min_expected equal to the smallest expected cell passes the guard,
-        # the next float above it fails
+        # n = 40m points, bins of 10m/30m points against 20/(40m - 20): the
+        # smallest expected cell is 10m * 20 / 40m = 5, exactly Cochran's
+        # minimum, and one point less in the small row bin puts it below
         rng = np.random.default_rng(40 + seed)
-        for _ in range(10):
-            n = int(rng.integers(100, 5000))
-            a = random_feature(rng, n, int(rng.integers(2, 30)), 0.5)
-            b = random_feature(rng, n, int(rng.integers(2, 30)))
+        m = seed + 1
+        n = 40 * m
+        b = feature(rng.permutation(np.repeat([0, 1], [20, n - 20])))
+        for small_row, guard_ok in ((10 * m, True), (10 * m - 1, False)):
+            a = feature(rng.permutation(np.repeat([0, 1], [small_row, n - small_row])))
             smallest = fsum_contingency(a, b)[4].min()
-            for min_expected in (smallest, np.nextafter(smallest, np.inf)):
-                self.assert_same_verdict(a, b, min_expected=float(min_expected))
-            assert is_independent(a, b, 0.01, float(smallest)).guard_ok
+            assert (smallest == 5.0) == guard_ok
+            assert self.assert_same_verdict(a, b).guard_ok is guard_ok
 
     def test_one_bin_partner(self):
         rng = np.random.default_rng(20)
@@ -299,7 +300,7 @@ class TestMatchesFsumOracle:
         a, b = random_feature(rng, 30_000, k), random_feature(rng, 30_000, l)
         assert a.bin_of_point.dtype == code
         assert np.min_scalar_type(k * l) == joint
-        self.assert_same_verdict(a, b, min_expected=0.5)
+        self.assert_same_verdict(a, b)
         observed, row, col, n, expected = fsum_contingency(a, b)
         assert np.array_equal(stats._joint_counts(a, b), observed)
         assert np.array_equal(a.bin_counts, row)
