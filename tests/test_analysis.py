@@ -37,6 +37,8 @@ class TestPfaConfig:
             {"nu": 10, "batching": "sideways"},
             {"nu": 10, "theta": -0.1},
             {"nu": 10, "theta": float("nan")},
+            {"nu": 10, "alpha": float("nan")},
+            {"nu": 10, "alpha": 1.5},
             {"nu": 2.5},
             {"nu": 10, "ns": 2.5},
             {"nu": 10, "seed": 2.5},
