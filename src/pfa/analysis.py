@@ -6,8 +6,10 @@ sublist's dependency graph, and repeats on the survivors until a pass
 holds them all in a single sublist: that pass is the final dissection, and
 it comes next after any pass of several sublists that removes nothing.
 All pairwise verdicts live in one shared cache, so no pair is ever tested
-twice.  ``analyze`` is the one place that chains the driver with the
-relevance and MI filters; ``robust_intersection`` repeats it on subsamples.
+twice.  ``analyze`` chains the driver with the relevance and MI filters;
+``robust_intersection`` repeats that chain on subsamples.  It enters below
+the binning step: it ranks each row once, bins every subsample from those
+ranks, and hands the binned rows to the same driver and filters.
 """
 
 from __future__ import annotations
@@ -16,8 +18,8 @@ import operator
 import random
 from dataclasses import dataclass, field, replace
 
-from .binning import DiscretizedFeature, discretize_all
-from .dataset import Dataset, check_integer, subsample
+from .binning import DiscretizedFeature, discretize_all, discretize_ranks, rank_rows
+from .dataset import Dataset, check_integer, subsample_columns
 from .depgraph import IndependenceCache, build_graph
 from .dissect import Removal, dissect
 from .stats import MIN_EXPECTED, mutual_information
@@ -106,6 +108,18 @@ def _guard_warnings(cache: IndependenceCache) -> list[str]:
     ]
 
 
+def _single_bin_warnings(
+    discretized: dict[int, DiscretizedFeature], nu: int
+) -> list[str]:
+    """One message per non-constant variable that its binning left one bin."""
+    return [
+        f"variable {i} is not constant but has a single bin at nu={nu}, "
+        f"so it is not tested; consider decreasing nu"
+        for i, d in discretized.items()
+        if not d.testable and not d.is_constant
+    ]
+
+
 def _check_nu(nu: int, n_points: int) -> None:
     # a variable gets a second bin only from 2 * nu points on
     if n_points < 2 * nu:
@@ -121,13 +135,21 @@ def run_pfa(ds: Dataset, cfg: PfaConfig) -> PfaResult:
     Passes repeat until one holds all remaining nodes in a single sublist.
     After a pass of several sublists that removes nothing, the next one does.
     A ``nu`` above half the point count is refused, since no variable could
-    then be tested.
+    then be tested.  A variable that is not constant but gets a single bin
+    is left untested like a constant, with a warning.
     """
     _check_nu(cfg.nu, ds.n_points)
-    disc_rows = discretize_all(ds, cfg.nu)
+    return _run_binned(discretize_all(ds, cfg.nu), ds.n_outputs, cfg)
+
+
+def _run_binned(
+    disc_rows: list[DiscretizedFeature], n_outputs: int, cfg: PfaConfig
+) -> PfaResult:
+    """``run_pfa`` on rows already binned, outputs first."""
     discretized = {i + 1: d for i, d in enumerate(disc_rows)}
-    constants = [i for i in ds.feature_ids if not discretized[i].testable]
-    nodes = [i for i in ds.feature_ids if discretized[i].testable]
+    feature_ids = range(n_outputs + 1, len(disc_rows) + 1)
+    constants = [i for i in feature_ids if not discretized[i].testable]
+    nodes = [i for i in feature_ids if discretized[i].testable]
     cache = IndependenceCache(discretized, cfg.alpha)
 
     removals: list[Removal] = []
@@ -152,10 +174,10 @@ def run_pfa(ds: Dataset, cfg: PfaConfig) -> PfaResult:
         principal_subgraphs=subgraphs,
         removed=[replace(r, step=step) for step, r in enumerate(removals, 1)],
         constants=constants,
-        warnings=_guard_warnings(cache),
+        warnings=_single_bin_warnings(discretized, cfg.nu) + _guard_warnings(cache),
         cache=cache,
         discretized=discretized,
-        n_outputs=ds.n_outputs,
+        n_outputs=n_outputs,
     )
 
 
@@ -165,9 +187,9 @@ def filter_relevant(result: PfaResult) -> PfaResult:
     A subgraph enters the relevant set as a unit: when one member is not
     independent of one output, every member is included.  Pairs are tested
     through the result's cache, under the settings of its run.  The new
-    result's warnings name every guard-failing verdict in the cache once
-    the filter is done: the run's, the filter's own and any added since,
-    for instance by ``explain_feature``.
+    result's warnings are the input's, then any guard-failing verdict of
+    the cache they do not name yet: the filter's own and any added since
+    the run, for instance by ``explain_feature``.
     """
     if result.n_outputs < 1:
         raise ValueError("relevance filtering needs at least one output row")
@@ -183,7 +205,7 @@ def filter_relevant(result: PfaResult) -> PfaResult:
     return replace(
         result,
         relevant_features=frozenset(relevant),
-        warnings=_guard_warnings(result.cache),
+        warnings=list(dict.fromkeys(result.warnings + _guard_warnings(result.cache))),
     )
 
 
@@ -218,6 +240,14 @@ def _check_theta(ds: Dataset, cfg: PfaConfig) -> None:
         raise ValueError("theta needs at least one output row")
 
 
+def _filter(result: PfaResult, cfg: PfaConfig) -> PfaResult:
+    if result.n_outputs >= 1:
+        result = filter_relevant(result)
+        if cfg.theta is not None:
+            result = filter_by_mi(result, cfg.theta)
+    return result
+
+
 def analyze(ds: Dataset, cfg: PfaConfig) -> PfaResult:
     """The whole pipeline: dissection, relevance to the outputs, MI threshold.
 
@@ -226,12 +256,14 @@ def analyze(ds: Dataset, cfg: PfaConfig) -> PfaResult:
     result is the final selection.
     """
     _check_theta(ds, cfg)
-    result = run_pfa(ds, cfg)
-    if ds.n_outputs >= 1:
-        result = filter_relevant(result)
-        if cfg.theta is not None:
-            result = filter_by_mi(result, cfg.theta)
-    return result
+    return _filter(run_pfa(ds, cfg), cfg)
+
+
+def _analyze_binned(
+    disc_rows: list[DiscretizedFeature], n_outputs: int, cfg: PfaConfig
+) -> PfaResult:
+    """``analyze`` on rows already binned, outputs first."""
+    return _filter(_run_binned(disc_rows, n_outputs, cfg), cfg)
 
 
 def explain_feature(result: PfaResult, target: int) -> frozenset[int]:
@@ -259,21 +291,28 @@ def robust_intersection(
 ) -> tuple[frozenset[int], list[PfaResult]]:
     """Intersect feature sets over repeated runs on random subsamples.
 
-    Per-run seeds are cfg.seed + run index.  Each run is one ``analyze``
-    of its subsample, and the runs' ``selected_features()`` are intersected.
-    Arguments that no subsample can make valid raise ``ValueError`` before
-    the first run; a failing run raises ``RuntimeError`` naming the run.
+    Per-run seeds are cfg.seed + run index.  Each run equals one ``analyze``
+    of ``subsample(ds, fraction, seed)``, and the runs' ``selected_features()``
+    are intersected.  Every row is ranked once, and each run bins its
+    columns from those ranks: the call holds a ``uint32`` rank per input
+    cell, and copies no subsample.  Arguments that no subsample can make
+    valid raise ``ValueError`` before the first run; a failing run raises
+    ``RuntimeError`` naming the run.
     """
     check_integer("runs", runs, 1)
     _check_theta(ds, cfg)
+    # every sample has one size, so run 0's columns settle fraction and nu
+    keep = subsample_columns(ds.n_points, fraction, cfg.seed)
+    _check_nu(cfg.nu, keep.size)
+    ranks = rank_rows(ds.values)
     results = []
     for run_index in range(runs):
         run_seed = cfg.seed + run_index
-        sample = subsample(ds, fraction, run_seed)
-        # every sample has one size, so run 0 refuses a bad nu, unwrapped
-        _check_nu(cfg.nu, sample.n_points)
         try:
-            result = analyze(sample, replace(cfg, seed=run_seed))
+            if run_index:
+                keep = subsample_columns(ds.n_points, fraction, run_seed)
+            disc_rows = [discretize_ranks(row[keep], cfg.nu) for row in ranks]
+            result = _analyze_binned(disc_rows, ds.n_outputs, replace(cfg, seed=run_seed))
         except Exception as exc:
             raise RuntimeError(f"run {run_index} failed: {exc}") from exc
         results.append(result)

@@ -6,6 +6,13 @@ greater than the bin's last value, so equal values never split across bins.
 A trailing remainder of fewer than ``nu`` points is merged into the
 preceding full bin.
 
+The bins therefore depend only on the ranks of the values: their order and
+their ties, not their magnitudes.  ``discretize`` walks a row's sorted
+values; ``rank_rows`` ranks every row of a matrix once, and
+``discretize_ranks`` bins any subset of a row's points from those ranks,
+with no further sort.  Both walks close bins by one rule, ``_bin_ends``,
+and give identical bins for identical points.
+
 Bin codes are stored in the smallest unsigned dtype that holds
 ``n_bins - 1`` (``uint8`` up to 256 bins, then ``uint16``/``uint32``), so a
 pair test reads an eighth of the bytes an ``int64`` code would take.
@@ -79,6 +86,38 @@ class DiscretizedFeature:
         return self.n_bins > 1
 
 
+def _constant(n_points: int) -> DiscretizedFeature:
+    return DiscretizedFeature(np.zeros(n_points, dtype=np.uint8), 1, True)
+
+
+def _bin_ends(n: int, nu: int, tie_end) -> list[int]:
+    """Exclusive end position of each bin of n ascending, non-constant points.
+
+    ``tie_end(p)`` is the exclusive end of the run of values equal to the
+    one at ascending position ``p``.
+    """
+    ends = []
+    i = 0
+    while n - i >= nu:
+        # close after nu points, extended across ties so equal values share a bin
+        i = tie_end(i + nu - 1)
+        ends.append(i)
+    if i < n:
+        # trailing remainder: merge into the last full bin
+        if ends:
+            ends[-1] = n
+        else:
+            ends.append(n)
+    return ends
+
+
+def _codes(ends: list[int]) -> np.ndarray:
+    """Bin ``b`` repeated over ``ends[b] - ends[b - 1]`` slots, in the compact dtype."""
+    sizes = [end - start for start, end in zip([0, *ends], ends)]
+    n_bins = len(ends)
+    return np.repeat(np.arange(n_bins, dtype=np.min_scalar_type(n_bins - 1)), sizes)
+
+
 def discretize(values, nu: int) -> DiscretizedFeature:
     """Bin one variable's finite values so every bin holds >= nu points.
 
@@ -95,37 +134,67 @@ def discretize(values, nu: int) -> DiscretizedFeature:
         raise ValueError("cannot discretize non-finite values")
 
     if high <= low:
-        return DiscretizedFeature(np.zeros(values.size, dtype=np.uint8), 1, True)
+        return _constant(values.size)
 
     order = np.argsort(values)
     ordered = values[order]
     n = values.size
 
-    boundaries = []  # exclusive end position of each closed bin
-    i = 0
-    while i < n:
-        if n - i < nu:
-            # trailing remainder: merge into the last full bin
-            if boundaries:
-                boundaries[-1] = n
-            else:
-                boundaries.append(n)
-            break
-        end = i + nu
-        if end < n and ordered[end] == ordered[end - 1]:
-            # extend across ties so equal values stay in one bin
-            end = int(np.searchsorted(ordered, ordered[end - 1], side="right"))
-        boundaries.append(end)
-        i = end
+    def tie_end(p):
+        if p + 1 < n and ordered[p + 1] == ordered[p]:
+            return int(np.searchsorted(ordered, ordered[p], side="right"))
+        return p + 1
 
-    n_bins = len(boundaries)
-    code_dtype = np.min_scalar_type(n_bins - 1)
-    sizes = np.diff(boundaries, prepend=0)
-    bin_in_order = np.repeat(np.arange(n_bins, dtype=code_dtype), sizes)
-
-    bin_of_point = np.empty(n, dtype=code_dtype)
+    ends = _bin_ends(n, nu, tie_end)
+    bin_in_order = _codes(ends)
+    bin_of_point = np.empty(n, dtype=bin_in_order.dtype)
     bin_of_point[order] = bin_in_order
-    return DiscretizedFeature(bin_of_point, n_bins, False)
+    return DiscretizedFeature(bin_of_point, len(ends), False)
+
+
+def rank_rows(values: np.ndarray) -> np.ndarray:
+    """Dense ranks of each row's values: 0 for its smallest, equal values equal.
+
+    One contiguous ``uint32`` matrix of the input's shape; ``-0.0`` and
+    ``0.0`` share a rank, as they share a bin.
+    """
+    values = np.asarray(values, dtype=np.float64)
+    ranks = np.empty(values.shape, dtype=np.uint32)
+    rank_in_order = np.empty(values.shape[1], dtype=np.uint32)
+    rank_in_order[0] = 0
+    for row, out in zip(values, ranks):
+        order = np.argsort(row)
+        ordered = row[order]
+        np.cumsum(ordered[1:] != ordered[:-1], dtype=np.uint32, out=rank_in_order[1:])
+        out[order] = rank_in_order
+    return ranks
+
+
+def discretize_ranks(ranks: np.ndarray, nu: int) -> DiscretizedFeature:
+    """``discretize`` of the points whose dense ranks (``rank_rows``) are given.
+
+    The ranks may be any subset of a ranked row's points.  Their cumulative
+    counts give each rank's ascending end position, and so the bins, with no
+    sort; each point then reads the bin of its rank.
+    """
+    check_integer("nu", nu, 1)
+    # bincount and take cast any other index dtype at several times the cost
+    ranks = np.asarray(ranks).astype(np.intp)
+    if ranks.size == 0:
+        raise ValueError("cannot discretize an empty value sequence")
+    cum = np.cumsum(np.bincount(ranks))  # points at or below each rank
+    n = ranks.size
+
+    def tie_end(p):
+        return int(cum[np.searchsorted(cum, p, side="right")])
+
+    if tie_end(0) == n:  # one rank holds every point
+        return _constant(n)
+    ends = _bin_ends(n, nu, tie_end)
+    # the rank that closes each bin; the last bin runs to the highest rank
+    rank_ends = np.searchsorted(cum, ends[:-1]) + 1
+    code_of_rank = _codes([*rank_ends.tolist(), cum.size])
+    return DiscretizedFeature(np.take(code_of_rank, ranks), len(ends), False)
 
 
 def discretize_all(ds: Dataset, nu: int) -> list[DiscretizedFeature]:

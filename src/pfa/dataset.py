@@ -193,19 +193,28 @@ def save_csv(ds: Dataset, path) -> None:
             fh.write("\n")
 
 
+def subsample_columns(n_points: int, fraction: float, seed: int) -> np.ndarray:
+    """Ascending indices of round(fraction * n_points) distinct columns.
+
+    Deterministic in (n_points, fraction, seed).  The one check of
+    ``fraction``, shared by ``subsample`` and ``robust_intersection``.
+    """
+    if not 0.0 < fraction <= 1.0:
+        raise ValueError(f"fraction must be in (0, 1], got {fraction}")
+    size = int(round(fraction * n_points))
+    if size < 1:
+        raise ValueError(
+            f"fraction {fraction} of {n_points} points selects no columns"
+        )
+    rng = np.random.default_rng(seed)
+    return np.sort(rng.choice(n_points, size=size, replace=False))
+
+
 def subsample(ds: Dataset, fraction: float, seed: int) -> Dataset:
     """Uniform random subset of round(fraction * n_points) columns.
 
     Deterministic in (ds, fraction, seed); kept columns preserve their
     original relative order and are never duplicated.
     """
-    if not 0.0 < fraction <= 1.0:
-        raise ValueError(f"fraction must be in (0, 1], got {fraction}")
-    size = int(round(fraction * ds.n_points))
-    if size < 1:
-        raise ValueError(
-            f"fraction {fraction} of {ds.n_points} points selects no columns"
-        )
-    rng = np.random.default_rng(seed)
-    keep = np.sort(rng.choice(ds.n_points, size=size, replace=False))
+    keep = subsample_columns(ds.n_points, fraction, seed)
     return Dataset(ds.values[:, keep], ds.n_outputs)

@@ -168,6 +168,19 @@ def per_value_csv_text(values) -> str:
     return "".join(",".join(repr(float(v)) for v in row) + "\n" for row in values)
 
 
+def one_bin_rows() -> np.ndarray:
+    """x, a binary y with 80 ones in 2,000 points, and 2x + y.
+
+    At nu=100 the trailing merge leaves y a single bin although it is not
+    constant.
+    """
+    rng = np.random.default_rng(0)
+    x = rng.uniform(0.0, 5.0, 2000)
+    y = np.zeros(2000)
+    y[rng.choice(2000, 80, replace=False)] = 1.0
+    return np.vstack([x, y, 2 * x + y])
+
+
 def stable_sort_bins(values, nu: int) -> tuple[np.ndarray, int]:
     """Oracle for ``discretize``: the stable-sort boundary walk and slice fill.
 

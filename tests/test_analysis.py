@@ -4,6 +4,7 @@ import itertools
 
 import numpy as np
 import pytest
+from helpers import one_bin_rows
 
 import pfa.analysis
 from pfa.analysis import (
@@ -15,7 +16,7 @@ from pfa.analysis import (
     robust_intersection,
     run_pfa,
 )
-from pfa.dataset import Dataset
+from pfa.dataset import Dataset, subsample
 from pfa.synth import DagSpec, SynthSpec, generate, random_dag
 
 
@@ -454,7 +455,135 @@ class TestExplainFeature:
             explain_feature(result, 99)
 
 
+def one_bin_dataset(n_outputs: int) -> Dataset:
+    """``one_bin_rows``; with ``n_outputs=1`` the output [x >= 2.5] leads.
+
+    At nu=100 y has a single bin: it is variable 3 with the output, else 2.
+    """
+    values = one_bin_rows()
+    if n_outputs:
+        values = np.vstack([values[0] >= 2.5, values])
+    return Dataset(values, n_outputs)
+
+
+def single_bin_warning(variable: int, nu: int) -> str:
+    return (
+        f"variable {variable} is not constant but has a single bin at nu={nu}, "
+        "so it is not tested; consider decreasing nu"
+    )
+
+
+class TestSingleBinWarning:
+    def test_run_names_the_variable_and_nu(self):
+        result = run_pfa(one_bin_dataset(0), PfaConfig(nu=100))
+        assert result.constants == [2]
+        assert not result.discretized[2].is_constant
+        assert result.discretized[2].n_bins == 1
+        assert result.principal_features == {1, 3}
+        assert result.warnings == [single_bin_warning(2, 100)]
+
+    def test_no_warning_for_a_constant_or_at_a_smaller_nu(self):
+        ds = one_bin_dataset(0)
+        at_50 = run_pfa(ds, PfaConfig(nu=50))
+        assert at_50.discretized[2].n_bins == 2
+        assert at_50.warnings == pfa.analysis._guard_warnings(at_50.cache)
+        values = np.vstack([ds.values, np.full(2000, 3.0)])
+        result = run_pfa(Dataset(values, 0), PfaConfig(nu=100))
+        assert result.constants == [2, 4]
+        assert result.warnings == [single_bin_warning(2, 100)]
+
+    def test_survives_the_filters(self):
+        ds = one_bin_dataset(1)
+        cfg = PfaConfig(nu=100, theta=0.01)
+        warning = single_bin_warning(3, 100)
+        run = run_pfa(ds, cfg)
+        assert run.warnings[0] == warning
+        related = filter_relevant(run)
+        assert related.warnings[0] == warning
+        assert related.warnings[1:] == pfa.analysis._guard_warnings(related.cache)
+        assert filter_by_mi(related, 0.01).warnings == related.warnings
+        assert analyze(ds, cfg).warnings == related.warnings
+
+    def test_survives_robust(self):
+        ds = one_bin_dataset(1)
+        _, results = robust_intersection(ds, PfaConfig(nu=100), runs=3, fraction=0.9)
+        for result in results:
+            assert result.warnings[0] == single_bin_warning(3, 100)
+
+
+def _verdict_bits(result):
+    return [
+        (pair, v.chi2.hex(), v.dof, v.p_value.hex(), v.independent, v.guard_ok)
+        for pair, v in result.cache.verdicts.items()
+    ]
+
+
+def robust_corpus():
+    """Seeded robust_intersection arguments: guard warnings, ties, a full fraction."""
+    yield (
+        generate(SynthSpec("example2", 3000, seed=5)),
+        PfaConfig(nu=60, ns=4, batching="random", seed=3, theta=0.02),
+        0.8,
+    )
+    tied = generate(SynthSpec("example4", 4000, seed=2))
+    yield Dataset(np.round(tied.values, 1), tied.n_outputs), PfaConfig(nu=80, seed=7), 0.7
+    yield generate(SynthSpec("example1", 2500, seed=1)), PfaConfig(nu=50, tie_seed=1), 1.0
+
+
+class TestPinnedRobust:
+    # sha256 of the records below as computed when every run analyzed a
+    # copied subsample binned by its own sort
+    ROBUST_SHA256 = (
+        "22c733ece975848c68c3c2f99ae581f4fef9033986858206a259aa615b2916c4"
+    )
+
+    def test_outputs_match_the_subsample_copy_driver(self):
+        digest = hashlib.sha256()
+        for ds, cfg, fraction in robust_corpus():
+            common, results = robust_intersection(ds, cfg, runs=3, fraction=fraction)
+            digest.update(repr(sorted(common)).encode())
+            for result in results:
+                record = (
+                    [sorted(s) for s in result.principal_subgraphs],
+                    [
+                        (r.step, sorted(r.nodes), sorted(r.from_component))
+                        for r in result.removed
+                    ],
+                    result.constants,
+                    result.warnings,
+                    None
+                    if result.relevant_features is None
+                    else sorted(result.relevant_features),
+                    None if result.theta_selected is None else sorted(result.theta_selected),
+                    result.mi_scores,
+                    [
+                        (pair, v.chi2, v.dof, v.p_value, v.independent, v.guard_ok)
+                        for pair, v in result.cache.verdicts.items()
+                    ],
+                    [
+                        (i, d.n_bins, d.is_constant, d.bin_of_point.dtype.str)
+                        for i, d in sorted(result.discretized.items())
+                    ],
+                )
+                digest.update(repr(record).encode())
+                for _, feature in sorted(result.discretized.items()):
+                    digest.update(feature.bin_of_point.tobytes())
+        assert digest.hexdigest() == self.ROBUST_SHA256
+
+
 class TestRobustIntersection:
+    @pytest.mark.parametrize("case", range(4))
+    def test_each_run_equals_analyze_of_its_subsample(self, case):
+        corpus = [*robust_corpus(), (one_bin_dataset(1), PfaConfig(nu=100, seed=2), 0.9)]
+        ds, cfg, fraction = corpus[case]
+        _, results = robust_intersection(ds, cfg, runs=3, fraction=fraction)
+        for run_index, result in enumerate(results):
+            seed = cfg.seed + run_index
+            expected = analyze(subsample(ds, fraction, seed), dataclasses.replace(cfg, seed=seed))
+            assert _outcome(result) == _outcome(expected)
+            assert _verdict_bits(result) == _verdict_bits(expected)
+            assert result.discretized == expected.discretized
+
     def test_example1_stable_bases(self):
         ds = generate(SynthSpec("example1", 5000, seed=42))
         common, results = robust_intersection(
@@ -509,7 +638,7 @@ class TestRobustIntersection:
         def no_run(*args):
             raise AssertionError("ran before validating nu")
 
-        monkeypatch.setattr("pfa.analysis.analyze", no_run)
+        monkeypatch.setattr("pfa.analysis._analyze_binned", no_run)
         with pytest.raises(ValueError, match=r"nu=451 .*n_points=900"):
             robust_intersection(ds, PfaConfig(nu=451), 2, 0.9)
 
@@ -523,14 +652,15 @@ class TestRobustIntersection:
         ds = generate(SynthSpec("example1", 1000, seed=0))
         calls = []
         cause = ArithmeticError("boom")
+        run_binned = pfa.analysis._analyze_binned
 
-        def fail_second(sample, cfg):
+        def fail_second(disc_rows, n_outputs, cfg):
             calls.append(cfg.seed)
             if len(calls) == 2:
                 raise cause
-            return analyze(sample, cfg)  # this module's binding is not patched
+            return run_binned(disc_rows, n_outputs, cfg)
 
-        monkeypatch.setattr("pfa.analysis.analyze", fail_second)
+        monkeypatch.setattr("pfa.analysis._analyze_binned", fail_second)
         with pytest.raises(RuntimeError, match="run 1 failed: boom") as info:
             robust_intersection(ds, PfaConfig(nu=50), 3, 0.9)
         assert info.value.__cause__ is cause
@@ -544,6 +674,6 @@ class TestRobustIntersection:
         def no_subsample(*args):
             raise AssertionError("subsampled before validating theta")
 
-        monkeypatch.setattr("pfa.analysis.subsample", no_subsample)
+        monkeypatch.setattr("pfa.analysis.subsample_columns", no_subsample)
         with pytest.raises(ValueError, match="theta needs at least one output row"):
             robust_intersection(ds, PfaConfig(nu=50, theta=0.1), 2, 0.9)

@@ -1,11 +1,17 @@
 import numpy as np
 import pytest
-from helpers import stable_sort_bins
+from helpers import one_bin_rows, stable_sort_bins
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pfa.binning import DiscretizedFeature, discretize, discretize_all
-from pfa.dataset import Dataset
+from pfa.binning import (
+    DiscretizedFeature,
+    discretize,
+    discretize_all,
+    discretize_ranks,
+    rank_rows,
+)
+from pfa.dataset import Dataset, subsample_columns
 from pfa.stats import is_independent
 from pfa.synth import SynthSpec, generate
 
@@ -209,6 +215,87 @@ class TestMatchesStableSortWalk:
             bins, n_bins = stable_sort_bins(values, nu)
             assert feature.n_bins == n_bins
             assert np.array_equal(feature.bin_of_point, bins)
+
+
+def assert_rank_path_matches(values, keep, nu):
+    """Each row's bins from its ranks equal ``discretize`` of its kept values."""
+    ranks = rank_rows(values)
+    features = []
+    for row, row_ranks in zip(values, ranks):
+        from_ranks = discretize_ranks(row_ranks[keep], nu)
+        plain = discretize(row[keep], nu)
+        assert from_ranks == plain
+        assert from_ranks.bin_of_point.dtype == plain.bin_of_point.dtype
+        features.append(from_ranks)
+    return features
+
+
+class TestRankRows:
+    def test_dense_ranks_with_ties(self):
+        values = np.array([[2.5, -1.0, 2.5, 0.0, -0.0, 7.0]])
+        ranks = rank_rows(values)
+        assert ranks.dtype == np.uint32
+        assert ranks.flags.c_contiguous
+        assert ranks.tolist() == [[2, 0, 2, 1, 1, 3]]
+
+    def test_one_point_per_row(self):
+        assert rank_rows(np.array([[3.0], [-1.0]])).tolist() == [[0], [0]]
+
+
+class TestRankPath:
+    """``discretize_ranks`` of a subset of a ranked row equals ``discretize``."""
+
+    def test_heavy_ties(self):
+        rng = np.random.default_rng(11)
+        pool = np.array([-0.0, 0.0, 1.0, 2.5, -3.0, 7.0])
+        values = rng.choice(pool, size=(6, 3000))
+        for seed in range(5):
+            keep = subsample_columns(3000, 0.8, seed)
+            assert_rank_path_matches(values, keep, nu=int(rng.integers(1, 600)))
+
+    def test_binary_row(self):
+        rng = np.random.default_rng(12)
+        values = (rng.random((2, 1000)) < np.array([[0.5], [0.1]])).astype(float)
+        for nu in (1, 50, 99, 400):
+            features = assert_rank_path_matches(values, subsample_columns(1000, 0.9, 1), nu)
+            assert {f.n_bins for f in features} <= {1, 2}
+
+    def test_row_constant_only_inside_the_subsample(self):
+        values = np.vstack([np.arange(10.0), [0.0] * 9 + [1.0]])
+        keep = np.arange(9)  # drops the one point where row 2 differs
+        features = assert_rank_path_matches(values, keep, nu=3)
+        assert features[1].is_constant
+        assert features[1].n_bins == 1
+        assert not features[0].is_constant
+
+    def test_one_bin_row(self):
+        values = one_bin_rows()
+        features = assert_rank_path_matches(values, np.arange(2000), nu=100)
+        assert not features[1].is_constant
+        assert features[1].n_bins == 1
+        for seed in range(3):
+            assert_rank_path_matches(values, subsample_columns(2000, 0.9, seed), nu=100)
+
+    @pytest.mark.parametrize("seed", range(10))
+    def test_random_subsets(self, seed):
+        rng = np.random.default_rng(200 + seed)
+        n = int(rng.integers(1, 600))
+        values = np.vstack(
+            [
+                np.round(rng.normal(size=n), 1),
+                rng.choice([-0.0, 0.0, 1.0, 2.0], size=n),
+                rng.normal(size=n),
+            ]
+        )
+        for _ in range(10):
+            keep = np.sort(rng.choice(n, size=int(rng.integers(1, n + 1)), replace=False))
+            assert_rank_path_matches(values, keep, nu=int(rng.integers(1, 80)))
+
+    def test_bad_input_rejected(self):
+        with pytest.raises(ValueError, match="nu must be an integer"):
+            discretize_ranks(np.array([0, 1, 2]), nu=0)
+        with pytest.raises(ValueError, match="empty"):
+            discretize_ranks(np.array([], dtype=np.uint32), nu=1)
 
 
 class TestDiscretizeAll:

@@ -330,6 +330,26 @@ class TestRobustCommand:
             "consider increasing nu"
         ]
 
+    def test_logs_the_single_bin_warning_like_run(self, tmp_path, capsys):
+        # row 2 is binary with 2 of 10 points above: at nu=3 one bin
+        path = tmp_path / "binary.csv"
+        path.write_text("1,2,3,4,5,6,7,8,9,10\n0,0,0,0,0,0,0,0,1,1\n")
+        warning = (
+            "variable 2 is not constant but has a single bin at nu=3, "
+            "so it is not tested; consider decreasing nu"
+        )
+        flags = {"run": (), "robust": ("--runs", "2", "--fraction", "1.0")}
+        for command, extra in flags.items():
+            code = run_cli(
+                command, "--input", str(path), "--n-outputs", "0", "--nu", "3",
+                *extra, "--out", str(tmp_path / command),
+            )
+            assert code == 0
+            assert f"pfa: warning: {warning}" in capsys.readouterr().err.splitlines()
+            _, report = read_outputs(tmp_path / command)
+            runs = report["runs"] if command == "robust" else [report]
+            assert all(run["warnings"] == [warning] for run in runs)
+
     def test_theta_applied_per_run_like_run(self, example4_csv, tmp_path):
         selected = {}
         for command in ("run", "robust"):

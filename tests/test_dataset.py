@@ -6,7 +6,14 @@ from helpers import per_cell_load_csv, per_value_csv_text
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pfa.dataset import Dataset, DatasetError, load_csv, save_csv, subsample
+from pfa.dataset import (
+    Dataset,
+    DatasetError,
+    load_csv,
+    save_csv,
+    subsample,
+    subsample_columns,
+)
 from pfa.synth import SynthSpec, generate
 
 
@@ -196,6 +203,26 @@ class TestSubsample:
         for fraction in (0.0, -0.5, 1.5):
             with pytest.raises(ValueError):
                 subsample(ds, fraction, seed=0)
+
+    @pytest.mark.parametrize(
+        "n, fraction, seed", [(1000, 0.95, 7), (100_000, 0.9, 2), (10, 0.3, 0)]
+    )
+    def test_picks_the_seeded_draw(self, n, fraction, seed):
+        # the draw every subsample has made: round(fraction * n) columns of
+        # one default_rng(seed).choice, sorted
+        expected = np.sort(
+            np.random.default_rng(seed).choice(n, size=int(round(fraction * n)), replace=False)
+        )
+        assert np.array_equal(subsample_columns(n, fraction, seed), expected)
+        ds = Dataset(np.arange(2.0 * n).reshape(2, n), n_outputs=0)
+        assert np.array_equal(subsample(ds, fraction, seed).values, ds.values[:, expected])
+
+    def test_column_picker_checks_fraction(self):
+        for fraction in (0.0, -0.5, 1.5, float("nan")):
+            with pytest.raises(ValueError, match="fraction must be in"):
+                subsample_columns(10, fraction, seed=0)
+        with pytest.raises(ValueError, match="selects no columns"):
+            subsample_columns(10, 0.01, seed=0)
 
     def test_no_duplicate_columns_and_order_preserved(self):
         ds = generate(SynthSpec("example1", 200, seed=5))
