@@ -7,11 +7,11 @@ A trailing remainder of fewer than ``nu`` points is merged into the
 preceding full bin.
 
 The bins therefore depend only on the ranks of the values: their order and
-their ties, not their magnitudes.  ``discretize`` walks a row's sorted
-values; ``rank_rows`` ranks every row of a matrix once, and
-``discretize_ranks`` bins any subset of a row's points from those ranks,
-with no further sort.  Both walks close bins by one rule, ``_bin_ends``,
-and give identical bins for identical points.
+their ties, not their magnitudes.  There is one walk, ``discretize_ranks``:
+it bins any subset of a ranked row's points from the cumulative counts of
+their dense ranks, with no sort.  ``discretize`` ranks its one row and
+bins it there; ``rank_rows`` ranks every row of a matrix once, so that
+``robust`` can bin each subsample without sorting it again.
 
 Bin codes are stored in the smallest unsigned dtype that holds
 ``n_bins - 1`` (``uint8`` up to 256 bins, then ``uint16``/``uint32``), so a
@@ -53,6 +53,8 @@ class DiscretizedFeature:
         if self.n_bins < 1:
             raise ValueError(f"n_bins must be >= 1, got {self.n_bins}")
         codes = np.asarray(self.bin_of_point)
+        if codes.ndim != 1:
+            raise ValueError(f"bin codes must be one row, got shape {codes.shape}")
         if codes.size:
             if codes.dtype.kind not in "iu":
                 raise ValueError(f"bin codes must be integers, got dtype {codes.dtype}")
@@ -86,21 +88,18 @@ class DiscretizedFeature:
         return self.n_bins > 1
 
 
-def _constant(n_points: int) -> DiscretizedFeature:
-    return DiscretizedFeature(np.zeros(n_points, dtype=np.uint8), 1, True)
+def _bin_ends(cum: np.ndarray, nu: int) -> list[int]:
+    """Exclusive end position of each bin of ascending, non-constant points.
 
-
-def _bin_ends(n: int, nu: int, tie_end) -> list[int]:
-    """Exclusive end position of each bin of n ascending, non-constant points.
-
-    ``tie_end(p)`` is the exclusive end of the run of values equal to the
-    one at ascending position ``p``.
+    ``cum[r]`` counts the points of rank ``r`` or below, so the first entry
+    above a position is the end of the run of equal values there.
     """
+    n = int(cum[-1])
     ends = []
     i = 0
     while n - i >= nu:
         # close after nu points, extended across ties so equal values share a bin
-        i = tie_end(i + nu - 1)
+        i = int(cum[cum.searchsorted(i + nu - 1, side="right")])
         ends.append(i)
     if i < n:
         # trailing remainder: merge into the last full bin
@@ -111,45 +110,34 @@ def _bin_ends(n: int, nu: int, tie_end) -> list[int]:
     return ends
 
 
-def _codes(ends: list[int]) -> np.ndarray:
-    """Bin ``b`` repeated over ``ends[b] - ends[b - 1]`` slots, in the compact dtype."""
-    sizes = [end - start for start, end in zip([0, *ends], ends)]
-    n_bins = len(ends)
-    return np.repeat(np.arange(n_bins, dtype=np.min_scalar_type(n_bins - 1)), sizes)
+def _rank_into(row: np.ndarray, out: np.ndarray) -> None:
+    """Write the dense ranks of a non-empty float64 row into ``out``."""
+    order = np.argsort(row)
+    ordered = row[order]
+    rank_in_order = np.zeros(row.size, dtype=out.dtype)
+    np.cumsum(ordered[1:] != ordered[:-1], dtype=out.dtype, out=rank_in_order[1:])
+    out[order] = rank_in_order
 
 
 def discretize(values, nu: int) -> DiscretizedFeature:
     """Bin one variable's finite values so every bin holds >= nu points.
 
-    Every bin boundary falls between two distinct values, so equal values
-    share a bin whatever their order in the sort; the partition depends only
-    on the values, and no stable sort is needed.
+    The row is ranked densely and binned by ``discretize_ranks``.  Every bin
+    boundary falls between two distinct values, so equal values share a bin
+    whatever their order in the sort; no stable sort is needed.
     """
     values = np.asarray(values, dtype=np.float64)
+    if values.ndim != 1:
+        raise ValueError(f"cannot discretize values of shape {values.shape}: not one row")
     if values.size == 0:
         raise ValueError("cannot discretize an empty value sequence")
     check_integer("nu", nu, 1)
     low, high = values.min(), values.max()  # NaN propagates through both
     if not (np.isfinite(low) and np.isfinite(high)):
         raise ValueError("cannot discretize non-finite values")
-
-    if high <= low:
-        return _constant(values.size)
-
-    order = np.argsort(values)
-    ordered = values[order]
-    n = values.size
-
-    def tie_end(p):
-        if p + 1 < n and ordered[p + 1] == ordered[p]:
-            return int(np.searchsorted(ordered, ordered[p], side="right"))
-        return p + 1
-
-    ends = _bin_ends(n, nu, tie_end)
-    bin_in_order = _codes(ends)
-    bin_of_point = np.empty(n, dtype=bin_in_order.dtype)
-    bin_of_point[order] = bin_in_order
-    return DiscretizedFeature(bin_of_point, len(ends), False)
+    ranks = np.empty(values.size, dtype=np.intp)
+    _rank_into(values, ranks)
+    return discretize_ranks(ranks, nu)
 
 
 def rank_rows(values: np.ndarray) -> np.ndarray:
@@ -160,41 +148,40 @@ def rank_rows(values: np.ndarray) -> np.ndarray:
     """
     values = np.asarray(values, dtype=np.float64)
     ranks = np.empty(values.shape, dtype=np.uint32)
-    rank_in_order = np.empty(values.shape[1], dtype=np.uint32)
-    rank_in_order[0] = 0
     for row, out in zip(values, ranks):
-        order = np.argsort(row)
-        ordered = row[order]
-        np.cumsum(ordered[1:] != ordered[:-1], dtype=np.uint32, out=rank_in_order[1:])
-        out[order] = rank_in_order
+        _rank_into(row, out)
     return ranks
 
 
 def discretize_ranks(ranks: np.ndarray, nu: int) -> DiscretizedFeature:
-    """``discretize`` of the points whose dense ranks (``rank_rows``) are given.
+    """Bin the points whose dense ranks (``rank_rows``) are given, as ``discretize``.
 
     The ranks may be any subset of a ranked row's points.  Their cumulative
     counts give each rank's ascending end position, and so the bins, with no
     sort; each point then reads the bin of its rank.
     """
     check_integer("nu", nu, 1)
-    # bincount and take cast any other index dtype at several times the cost
-    ranks = np.asarray(ranks).astype(np.intp)
+    ranks = np.asarray(ranks)
+    if ranks.ndim != 1 or ranks.dtype.kind not in "iu":
+        raise ValueError(
+            f"ranks must be one row of integers, got {ranks.dtype} of shape {ranks.shape}"
+        )
     if ranks.size == 0:
         raise ValueError("cannot discretize an empty value sequence")
-    cum = np.cumsum(np.bincount(ranks))  # points at or below each rank
+    # bincount and take cast any other index dtype at several times the cost
+    ranks = ranks.astype(np.intp, copy=False)
+    counts = np.bincount(ranks)
     n = ranks.size
-
-    def tie_end(p):
-        return int(cum[np.searchsorted(cum, p, side="right")])
-
-    if tie_end(0) == n:  # one rank holds every point
-        return _constant(n)
-    ends = _bin_ends(n, nu, tie_end)
+    if np.count_nonzero(counts) == 1:  # one rank holds every point
+        return DiscretizedFeature(np.zeros(n, dtype=np.uint8), 1, True)
+    cum = np.cumsum(counts)  # points at or below each rank
+    ends = _bin_ends(cum, nu)
     # the rank that closes each bin; the last bin runs to the highest rank
-    rank_ends = np.searchsorted(cum, ends[:-1]) + 1
-    code_of_rank = _codes([*rank_ends.tolist(), cum.size])
-    return DiscretizedFeature(np.take(code_of_rank, ranks), len(ends), False)
+    rank_ends = [*(cum.searchsorted(ends[:-1]) + 1).tolist(), cum.size]
+    n_bins = len(ends)
+    codes = np.arange(n_bins, dtype=np.min_scalar_type(n_bins - 1))
+    code_of_rank = np.repeat(codes, np.diff([0, *rank_ends]))
+    return DiscretizedFeature(np.take(code_of_rank, ranks), n_bins, False)
 
 
 def discretize_all(ds: Dataset, nu: int) -> list[DiscretizedFeature]:

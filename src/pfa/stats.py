@@ -180,9 +180,8 @@ def is_independent(
 
     The statistic sums ``(observed - expected)**2 / expected`` over the
     joint counts, with ``expected`` the outer product of the cached bin
-    counts over n.  The guard equals ``expected.min() >= MIN_EXPECTED``:
-    rounding is monotone, so the smallest expected cell is the one of the
-    two smallest marginals.
+    counts over n.  The guard and the zero-cell check both read
+    ``expected.min()``, the cell of the two smallest marginals.
     """
     if not 0.0 < alpha < 1.0:
         raise ValueError(f"alpha must be in (0, 1), got {alpha}")
@@ -192,8 +191,8 @@ def is_independent(
     row = a.bin_counts.astype(np.float64)
     col = b.bin_counts.astype(np.float64)
     expected = np.outer(row, col) / a.n_points
-    row_min, col_min = row.min(), col.min()
-    if row_min == 0.0 or col_min == 0.0:
+    least = expected.min()
+    if least == 0.0:
         raise ValueError("contingency table has a zero expected cell")
     chi2 = _exact_sum(((observed - expected) ** 2 / expected).ravel())
     dof = (a.n_bins - 1) * (b.n_bins - 1)
@@ -203,7 +202,7 @@ def is_independent(
         dof=dof,
         p_value=p,
         independent=p >= alpha,
-        guard_ok=bool(row_min * col_min / a.n_points >= MIN_EXPECTED),
+        guard_ok=bool(least >= MIN_EXPECTED),
     )
 
 

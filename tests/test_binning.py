@@ -77,6 +77,10 @@ class TestDiscretize:
         with pytest.raises(ValueError, match="nu must be an integer"):
             discretize([1.0, 2.0, 3.0, 4.0, 5.0], nu=1.5)
 
+    def test_two_dimensional_values_rejected(self):
+        with pytest.raises(ValueError, match=r"shape \(3, 4\)"):
+            discretize(np.arange(12.0).reshape(3, 4), 2)
+
 
 class TestDiscretizedFeature:
     @pytest.mark.parametrize(
@@ -106,6 +110,10 @@ class TestDiscretizedFeature:
             DiscretizedFeature(np.array([0.0, 1.0]), 2, False)
         with pytest.raises(ValueError, match="n_bins"):
             DiscretizedFeature(np.array([0, 0]), 0, True)
+
+    def test_two_dimensional_codes_rejected(self):
+        with pytest.raises(ValueError, match=r"shape \(2, 3\)"):
+            DiscretizedFeature(np.zeros((2, 3), dtype=int), 1, True)
 
     def test_numpy_integer_bin_count(self):
         codes = np.array([0, 1, 2] * 20)
@@ -218,7 +226,8 @@ class TestMatchesStableSortWalk:
 
 
 def assert_rank_path_matches(values, keep, nu):
-    """Each row's bins from its ranks equal ``discretize`` of its kept values."""
+    """Each row's bins from its ranks equal ``discretize`` of its kept values,
+    and, where those values are not all equal, the stable-sort walk's bins."""
     ranks = rank_rows(values)
     features = []
     for row, row_ranks in zip(values, ranks):
@@ -226,6 +235,10 @@ def assert_rank_path_matches(values, keep, nu):
         plain = discretize(row[keep], nu)
         assert from_ranks == plain
         assert from_ranks.bin_of_point.dtype == plain.bin_of_point.dtype
+        if not from_ranks.is_constant:
+            bins, n_bins = stable_sort_bins(row[keep], nu)
+            assert from_ranks.n_bins == n_bins
+            assert np.array_equal(from_ranks.bin_of_point, bins)
         features.append(from_ranks)
     return features
 
@@ -243,7 +256,8 @@ class TestRankRows:
 
 
 class TestRankPath:
-    """``discretize_ranks`` of a subset of a ranked row equals ``discretize``."""
+    """``discretize_ranks`` of a subset of a ranked row equals ``discretize``
+    and the stable-sort walk."""
 
     def test_heavy_ties(self):
         rng = np.random.default_rng(11)
@@ -296,6 +310,14 @@ class TestRankPath:
             discretize_ranks(np.array([0, 1, 2]), nu=0)
         with pytest.raises(ValueError, match="empty"):
             discretize_ranks(np.array([], dtype=np.uint32), nu=1)
+
+    @pytest.mark.parametrize(
+        "ranks", [np.array([0.5, 1.7, 2.2, 3.9]), np.zeros((2, 3), dtype=np.uint32)]
+    )
+    def test_non_integer_or_two_dimensional_ranks_rejected(self, ranks):
+        # a cast to intp would truncate float ranks into other bins
+        with pytest.raises(ValueError, match="ranks must be one row of integers"):
+            discretize_ranks(ranks, nu=1)
 
 
 class TestDiscretizeAll:
