@@ -44,6 +44,8 @@ class PfaConfig:
             check_integer(name, getattr(self, name), least)
         if self.tie_seed is not None:  # any integer, negative too, seeds random.Random
             try:
+                if isinstance(self.tie_seed, bool):
+                    raise TypeError("a bool is not a seed")
                 operator.index(self.tie_seed)
             except TypeError:
                 raise ValueError(
@@ -277,13 +279,9 @@ def explain_feature(result: PfaResult, target: int) -> frozenset[int]:
         raise ValueError(f"unknown variable id {target}")
     if not result.discretized[target].testable:
         return frozenset()
-    related = set()
-    for feature in sorted(result.principal_features):
-        if feature == target:
-            continue
-        if not result.cache.verdict(target, feature).independent:
-            related.add(feature)
-    return frozenset(related)
+    others = [feature for feature in sorted(result.principal_features) if feature != target]
+    verdicts = result.cache.compute_pairs([(target, feature) for feature in others])
+    return frozenset(f for f, verdict in zip(others, verdicts) if not verdict.independent)
 
 
 def robust_intersection(

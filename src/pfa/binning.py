@@ -144,9 +144,12 @@ def rank_rows(values: np.ndarray) -> np.ndarray:
     """Dense ranks of each row's values: 0 for its smallest, equal values equal.
 
     One contiguous ``uint32`` matrix of the input's shape; ``-0.0`` and
-    ``0.0`` share a rank, as they share a bin.
+    ``0.0`` share a rank, as they share a bin.  The values must be finite,
+    which is the caller's check (``Dataset`` makes it).
     """
     values = np.asarray(values, dtype=np.float64)
+    if values.ndim != 2:
+        raise ValueError(f"cannot rank values of shape {values.shape}: not a 2-d matrix")
     ranks = np.empty(values.shape, dtype=np.uint32)
     for row, out in zip(values, ranks):
         _rank_into(row, out)
@@ -170,7 +173,10 @@ def discretize_ranks(ranks: np.ndarray, nu: int) -> DiscretizedFeature:
         raise ValueError("cannot discretize an empty value sequence")
     # bincount and take cast any other index dtype at several times the cost
     ranks = ranks.astype(np.intp, copy=False)
-    counts = np.bincount(ranks)
+    try:
+        counts = np.bincount(ranks)
+    except ValueError:  # bincount's one refusal of a 1-d integer row
+        raise ValueError(f"ranks must be >= 0, got {ranks.min()}") from None
     n = ranks.size
     if np.count_nonzero(counts) == 1:  # one rank holds every point
         return DiscretizedFeature(np.zeros(n, dtype=np.uint8), 1, True)

@@ -23,9 +23,12 @@ class DatasetError(Exception):
 
 
 def check_integer(name: str, value, least: int) -> None:
-    """Raise ValueError unless value is an integer (``operator.index``) >= least."""
+    """Raise ValueError unless value is an integer (``operator.index``) >= least.
+
+    A ``bool`` is refused, although ``operator.index`` takes it.
+    """
     try:
-        valid = operator.index(value) >= least
+        valid = not isinstance(value, bool) and operator.index(value) >= least
     except TypeError:
         valid = False
     if not valid:

@@ -2,7 +2,8 @@
 
 Nodes are 1-based variable ids.  Verdicts are memoized per unordered pair in
 a shared cache so no pair is ever tested twice across batches, relevance
-filtering and follow-up queries.
+filtering and follow-up queries.  Every verdict enters the cache through one
+step; ``compute_pairs`` returns the verdicts of a list of pairs in its order.
 """
 
 from __future__ import annotations
@@ -35,27 +36,25 @@ class IndependenceCache:
     def cached(self, i: int, j: int) -> IndependenceVerdict | None:
         return self.verdicts.get(self._key(i, j))
 
-    def _compute(self, key: tuple[int, int]) -> IndependenceVerdict:
-        i, j = key
-        return is_independent(self.features[i], self.features[j], self.alpha)
-
-    def verdict(self, i: int, j: int) -> IndependenceVerdict:
+    def _resolve(self, i: int, j: int) -> IndependenceVerdict:
+        """The pair's cached verdict, else the verdict of its test, now cached."""
         key = self._key(i, j)
         found = self.verdicts.get(key)
         if found is None:
-            found = self.verdicts[key] = self._compute(key)
+            a, b = (self.features[n] for n in key)
+            found = self.verdicts[key] = is_independent(a, b, self.alpha)
         return found
 
-    def compute_pairs(self, pairs: list[tuple[int, int]]) -> None:
-        """Fill the cache for the given pairs, testing each missing pair once.
+    def verdict(self, i: int, j: int) -> IndependenceVerdict:
+        return self._resolve(i, j)
 
-        Pairs are tested in the given order, so the cache contents and their
-        insertion order are deterministic.
+    def compute_pairs(self, pairs: list[tuple[int, int]]) -> list[IndependenceVerdict]:
+        """The pairs' verdicts in the given order, cached or tested now.
+
+        Missing pairs are tested in that order, once each, so the cache
+        contents and their insertion order are deterministic.
         """
-        for i, j in pairs:
-            key = self._key(i, j)
-            if key not in self.verdicts:
-                self.verdicts[key] = self._compute(key)
+        return [self._resolve(i, j) for i, j in pairs]
 
 
 @dataclass(frozen=True)
@@ -141,6 +140,6 @@ def build_graph(cache: IndependenceCache, nodes) -> Graph:
         if not cache.features[n].testable:
             raise ValueError(f"node {n} refers to a constant (untestable) variable")
     pairs = [(u, v) for idx, u in enumerate(nodes) for v in nodes[idx + 1 :]]
-    cache.compute_pairs(pairs)
-    edges = [(u, v) for u, v in pairs if not cache.verdict(u, v).independent]
+    verdicts = cache.compute_pairs(pairs)
+    edges = [pair for pair, v in zip(pairs, verdicts) if not v.independent]
     return Graph.from_edges(nodes, edges)

@@ -48,6 +48,10 @@ class TestPfaConfig:
             {"nu": 10, "tie_seed": 2.5},
             {"nu": 10, "tie_seed": "x"},
             {"nu": 10, "tie_seed": [1]},
+            {"nu": True},
+            {"nu": 10, "seed": True},
+            {"nu": 10, "tie_seed": True},
+            {"nu": 10, "tie_seed": False},
         ],
     )
     def test_rejects_bad_values(self, kwargs):
@@ -454,6 +458,18 @@ class TestExplainFeature:
         with pytest.raises(ValueError, match="unknown"):
             explain_feature(result, 99)
 
+    def test_graphs_and_explanations_read_verdicts_through_compute_pairs(
+        self, monkeypatch
+    ):
+        # one bulk call per graph and per target: no pair is read a second time
+        def no_verdict(*args):
+            raise AssertionError("verdict() called")
+
+        monkeypatch.setattr(pfa.analysis.IndependenceCache, "verdict", no_verdict)
+        ds = generate(SynthSpec("example1", 5000, seed=42))
+        result = run_pfa(ds, PfaConfig(nu=100, ns=3))
+        assert explain_feature(result, 5) == {1, 2}
+
 
 def one_bin_dataset(n_outputs: int) -> Dataset:
     """``one_bin_rows``; with ``n_outputs=1`` the output [x >= 2.5] leads.
@@ -624,6 +640,8 @@ class TestRobustIntersection:
         ds = generate(SynthSpec("example1", 500, seed=0))
         with pytest.raises(ValueError, match=r"runs must be an integer >= 1, got 2\.5"):
             robust_intersection(ds, PfaConfig(nu=50), runs=2.5, fraction=0.9)
+        with pytest.raises(ValueError, match="runs must be an integer >= 1, got True"):
+            robust_intersection(ds, PfaConfig(nu=50), runs=True, fraction=0.9)
 
     def test_rejects_a_fraction_above_one(self):
         ds = generate(SynthSpec("example1", 500, seed=0))

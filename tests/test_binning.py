@@ -74,8 +74,9 @@ class TestDiscretize:
             discretize(values, nu=1)
 
     def test_non_integer_nu_rejected(self):
-        with pytest.raises(ValueError, match="nu must be an integer"):
-            discretize([1.0, 2.0, 3.0, 4.0, 5.0], nu=1.5)
+        for nu in (1.5, True):  # operator.index takes a bool
+            with pytest.raises(ValueError, match="nu must be an integer"):
+                discretize([1.0, 2.0, 3.0, 4.0, 5.0], nu=nu)
 
     def test_two_dimensional_values_rejected(self):
         with pytest.raises(ValueError, match=r"shape \(3, 4\)"):
@@ -254,6 +255,11 @@ class TestRankRows:
     def test_one_point_per_row(self):
         assert rank_rows(np.array([[3.0], [-1.0]])).tolist() == [[0], [0]]
 
+    def test_values_that_are_not_a_matrix_rejected(self):
+        for values in (np.arange(5.0), np.zeros((2, 3, 4))):
+            with pytest.raises(ValueError, match=r"shape \(.*\): not a 2-d matrix"):
+                rank_rows(values)
+
 
 class TestRankPath:
     """``discretize_ranks`` of a subset of a ranked row equals ``discretize``
@@ -318,6 +324,10 @@ class TestRankPath:
         # a cast to intp would truncate float ranks into other bins
         with pytest.raises(ValueError, match="ranks must be one row of integers"):
             discretize_ranks(ranks, nu=1)
+
+    def test_negative_ranks_rejected(self):
+        with pytest.raises(ValueError, match="ranks must be >= 0, got -1"):
+            discretize_ranks(np.array([-1, 0, 1, 2]), nu=1)
 
 
 class TestDiscretizeAll:

@@ -244,7 +244,7 @@ class TestDatasetValidation:
         with pytest.raises(ValueError):
             Dataset(np.ones((2, 3)), n_outputs=2)
 
-    @pytest.mark.parametrize("n_outputs", [1.5, "1", None])
+    @pytest.mark.parametrize("n_outputs", [1.5, "1", None, True])
     def test_rejects_a_non_integer_n_outputs(self, n_outputs):
         # a float would otherwise fail later, where ranges are sized from it
         with pytest.raises(ValueError, match="n_outputs must be an integer >= 0"):

@@ -146,6 +146,22 @@ class TestBuildGraph:
             ask(cache)
         assert cache.verdicts == {}
 
+    def test_compute_pairs_returns_the_cached_verdicts_in_order(self):
+        # example1's reference graph: 1-4 and 4-5 are edges, 1-2 and 2-3 not
+        cache = make_cache(generate(SynthSpec("example1", 5000, seed=42)))
+        earlier = cache.compute_pairs([(4, 1), (2, 3)])
+        assert list(cache.verdicts) == [(1, 4), (2, 3)]
+        # fresh, cached and reversed pairs in one call
+        pairs = [(5, 4), (1, 4), (3, 2), (2, 1), (4, 5), (2, 3)]
+        verdicts = cache.compute_pairs(pairs)
+        assert list(cache.verdicts) == [(1, 4), (2, 3), (4, 5), (1, 2)]
+        for (i, j), verdict in zip(pairs, verdicts):
+            assert verdict is cache.verdicts[(min(i, j), max(i, j))]
+        assert verdicts[1] is earlier[0] and verdicts[2] is verdicts[5] is earlier[1]
+        assert verdicts[0] is verdicts[4]
+        assert [v.independent for v in verdicts] == [False, False, True, True, False, True]
+        assert cache.compute_pairs([]) == []
+
     def test_fresh_caches_give_same_result(self):
         ds = generate(SynthSpec("example1", 3000, seed=4))
         first = build_graph(make_cache(ds), range(1, 6))

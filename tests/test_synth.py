@@ -53,6 +53,8 @@ class TestScenarios:
             (2.5, 0, "n_points must be an integer >= 1, got 2.5"),
             (10, -1, "seed must be an integer >= 0, got -1"),
             (10, 1.5, "seed must be an integer >= 0, got 1.5"),
+            (True, 0, "n_points must be an integer >= 1, got True"),
+            (10, True, "seed must be an integer >= 0, got True"),
         ],
     )
     def test_rejects_a_bad_size_or_seed(self, n_points, seed, message):
