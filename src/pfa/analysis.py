@@ -57,7 +57,7 @@ class PfaConfig:
             raise ValueError(
                 f"batching must be one of {BATCHING_MODES}, got {self.batching!r}"
             )
-        if self.theta is not None and not self.theta >= 0.0:
+        if self.theta is not None and (isinstance(self.theta, bool) or not self.theta >= 0.0):
             raise ValueError(f"theta must be >= 0, got {self.theta}")
 
 
@@ -221,7 +221,7 @@ def filter_by_mi(result: PfaResult, theta: float) -> PfaResult:
     """
     if result.relevant_features is None:
         raise ValueError("run filter_relevant before filter_by_mi")
-    if not theta >= 0.0:  # NaN fails every comparison
+    if isinstance(theta, bool) or not theta >= 0.0:  # NaN fails every comparison
         raise ValueError(f"theta must be >= 0, got {theta}")
     scores: dict[int, dict[int, float]] = {}
     selected = set()

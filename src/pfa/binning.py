@@ -7,11 +7,12 @@ A trailing remainder of fewer than ``nu`` points is merged into the
 preceding full bin.
 
 The bins therefore depend only on the ranks of the values: their order and
-their ties, not their magnitudes.  There is one walk, ``discretize_ranks``:
-it bins any subset of a ranked row's points from the cumulative counts of
-their dense ranks, with no sort.  ``discretize`` ranks its one row and
-bins it there; ``rank_rows`` ranks every row of a matrix once, so that
-``robust`` can bin each subsample without sorting it again.
+their ties, not their magnitudes.  There is one ranker, ``rank_rows``, and
+one walk, ``discretize_ranks``: it bins any subset of a ranked row's points
+from the cumulative counts of their dense ranks, with no sort and no special
+case; a row whose points share one rank falls out of the walk as one bin.
+``discretize`` ranks its one row and bins it there; ``robust`` ranks every
+row of a matrix once and bins each subsample from those ranks.
 
 Bin codes are stored in the smallest unsigned dtype that holds
 ``n_bins - 1`` (``uint8`` up to 256 bins, then ``uint16``/``uint32``), so a
@@ -89,42 +90,33 @@ class DiscretizedFeature:
 
 
 def _bin_ends(cum: np.ndarray, nu: int) -> list[int]:
-    """Exclusive end position of each bin of ascending, non-constant points.
+    """Exclusive end rank of each bin of the points counted by ``cum``.
 
-    ``cum[r]`` counts the points of rank ``r`` or below, so the first entry
-    above a position is the end of the run of equal values there.
+    ``cum[r]`` counts the points of rank ``r`` or below, so the first rank
+    whose count reaches a bin's ``nu`` points closes it, ties included.  A
+    trailing remainder of fewer than ``nu`` points merges into the last bin,
+    which runs to ``cum.size``; fewer than ``nu`` points make one bin.
     """
     n = int(cum[-1])
     ends = []
     i = 0
     while n - i >= nu:
         # close after nu points, extended across ties so equal values share a bin
-        i = int(cum[cum.searchsorted(i + nu - 1, side="right")])
-        ends.append(i)
+        rank = int(cum.searchsorted(i + nu - 1, side="right"))
+        ends.append(rank + 1)
+        i = int(cum[rank])
     if i < n:
-        # trailing remainder: merge into the last full bin
-        if ends:
-            ends[-1] = n
-        else:
-            ends.append(n)
+        # trailing remainder: merge into the last full bin, or make the one bin
+        ends[-1:] = [cum.size]
     return ends
-
-
-def _rank_into(row: np.ndarray, out: np.ndarray) -> None:
-    """Write the dense ranks of a non-empty float64 row into ``out``."""
-    order = np.argsort(row)
-    ordered = row[order]
-    rank_in_order = np.zeros(row.size, dtype=out.dtype)
-    np.cumsum(ordered[1:] != ordered[:-1], dtype=out.dtype, out=rank_in_order[1:])
-    out[order] = rank_in_order
 
 
 def discretize(values, nu: int) -> DiscretizedFeature:
     """Bin one variable's finite values so every bin holds >= nu points.
 
-    The row is ranked densely and binned by ``discretize_ranks``.  Every bin
-    boundary falls between two distinct values, so equal values share a bin
-    whatever their order in the sort; no stable sort is needed.
+    The row is ranked by ``rank_rows`` and binned by ``discretize_ranks``.
+    Every bin boundary falls between two distinct values, so equal values
+    share a bin whatever their order in the sort; no stable sort is needed.
     """
     values = np.asarray(values, dtype=np.float64)
     if values.ndim != 1:
@@ -135,9 +127,7 @@ def discretize(values, nu: int) -> DiscretizedFeature:
     low, high = values.min(), values.max()  # NaN propagates through both
     if not (np.isfinite(low) and np.isfinite(high)):
         raise ValueError("cannot discretize non-finite values")
-    ranks = np.empty(values.size, dtype=np.intp)
-    _rank_into(values, ranks)
-    return discretize_ranks(ranks, nu)
+    return discretize_ranks(rank_rows(values[np.newaxis])[0], nu)
 
 
 def rank_rows(values: np.ndarray) -> np.ndarray:
@@ -152,7 +142,11 @@ def rank_rows(values: np.ndarray) -> np.ndarray:
         raise ValueError(f"cannot rank values of shape {values.shape}: not a 2-d matrix")
     ranks = np.empty(values.shape, dtype=np.uint32)
     for row, out in zip(values, ranks):
-        _rank_into(row, out)
+        order = np.argsort(row)
+        ordered = row[order]
+        rank_in_order = np.zeros(row.size, dtype=np.uint32)
+        np.cumsum(ordered[1:] != ordered[:-1], dtype=np.uint32, out=rank_in_order[1:])
+        out[order] = rank_in_order
     return ranks
 
 
@@ -160,8 +154,8 @@ def discretize_ranks(ranks: np.ndarray, nu: int) -> DiscretizedFeature:
     """Bin the points whose dense ranks (``rank_rows``) are given, as ``discretize``.
 
     The ranks may be any subset of a ranked row's points.  Their cumulative
-    counts give each rank's ascending end position, and so the bins, with no
-    sort; each point then reads the bin of its rank.
+    counts give each bin's end rank, with no sort; each point then reads the
+    bin of its rank.  A subset whose points share one rank is constant.
     """
     check_integer("nu", nu, 1)
     ranks = np.asarray(ranks)
@@ -177,25 +171,16 @@ def discretize_ranks(ranks: np.ndarray, nu: int) -> DiscretizedFeature:
         counts = np.bincount(ranks)
     except ValueError:  # bincount's one refusal of a 1-d integer row
         raise ValueError(f"ranks must be >= 0, got {ranks.min()}") from None
-    n = ranks.size
-    if np.count_nonzero(counts) == 1:  # one rank holds every point
-        return DiscretizedFeature(np.zeros(n, dtype=np.uint8), 1, True)
+    # a Python bool: its repr is part of what the pinned digests hash
+    is_constant = bool(np.count_nonzero(counts) == 1)
     cum = np.cumsum(counts)  # points at or below each rank
-    ends = _bin_ends(cum, nu)
-    # the rank that closes each bin; the last bin runs to the highest rank
-    rank_ends = [*(cum.searchsorted(ends[:-1]) + 1).tolist(), cum.size]
-    n_bins = len(ends)
+    rank_ends = _bin_ends(cum, nu)
+    n_bins = len(rank_ends)
     codes = np.arange(n_bins, dtype=np.min_scalar_type(n_bins - 1))
     code_of_rank = np.repeat(codes, np.diff([0, *rank_ends]))
-    return DiscretizedFeature(np.take(code_of_rank, ranks), n_bins, False)
+    return DiscretizedFeature(np.take(code_of_rank, ranks), n_bins, is_constant)
 
 
 def discretize_all(ds: Dataset, nu: int) -> list[DiscretizedFeature]:
     """Discretize every row of a dataset (outputs included), in row order."""
-    result = []
-    for row_index in range(ds.n_rows):
-        try:
-            result.append(discretize(ds.values[row_index], nu))
-        except ValueError as exc:
-            raise ValueError(f"row {row_index + 1}: {exc}") from exc
-    return result
+    return [discretize(row, nu) for row in ds.values]

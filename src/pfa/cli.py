@@ -178,12 +178,21 @@ def _add_common_run_flags(parser: argparse.ArgumentParser) -> None:
         flag = "--" + name.replace("_", "-")
         parser.add_argument(flag, dest=name, default=defaults[name], **kwargs)
 
-    config_flag("ns", type=int, help="max nodes per subgraph")
-    config_flag("alpha", type=float, help="significance level")
-    config_flag("theta", type=float, help="MI threshold (nats)")
-    config_flag("batching", choices=analysis.BATCHING_MODES)
-    config_flag("seed", type=int)
-    config_flag("tie_seed", type=int)
+    config_flag("ns", type=int, help="max nodes per subgraph (default %(default)s)")
+    config_flag("alpha", type=float, help="significance level (default %(default)s)")
+    config_flag("theta", type=float, help="MI threshold in nats (default %(default)s: off)")
+    config_flag(
+        "batching", choices=analysis.BATCHING_MODES,
+        help="split features into sublists in row order or shuffled (default %(default)s)",
+    )
+    config_flag(
+        "seed", type=int,
+        help="seeds random batching and robust's subsamples, >= 0 (default %(default)s)",
+    )
+    config_flag(
+        "tie_seed", type=int,
+        help="any integer; breaks ties between equal cuts (default %(default)s: canonical)",
+    )
     parser.add_argument("--out", required=True, help="output path prefix")
 
 
@@ -199,8 +208,13 @@ def build_parser() -> argparse.ArgumentParser:
 
     robust = sub.add_parser("robust", help="intersect runs over random subsamples")
     _add_common_run_flags(robust)
-    robust.add_argument("--runs", type=int, default=5)
-    robust.add_argument("--fraction", type=float, default=0.95)
+    robust.add_argument(
+        "--runs", type=int, default=5, help="subsampled runs, at least 1 (default %(default)s)"
+    )
+    robust.add_argument(
+        "--fraction", type=float, default=0.95,
+        help="share of the points in each subsample, in (0, 1] (default %(default)s)",
+    )
     robust.set_defaults(func=cmd_robust)
 
     gen = sub.add_parser("synth", help="write a synthetic scenario dataset")

@@ -202,7 +202,7 @@ def subsample_columns(n_points: int, fraction: float, seed: int) -> np.ndarray:
     Deterministic in (n_points, fraction, seed).  The one check of
     ``fraction``, shared by ``subsample`` and ``robust_intersection``.
     """
-    if not 0.0 < fraction <= 1.0:
+    if isinstance(fraction, bool) or not 0.0 < fraction <= 1.0:
         raise ValueError(f"fraction must be in (0, 1], got {fraction}")
     size = int(round(fraction * n_points))
     if size < 1:

@@ -107,7 +107,7 @@ def _lower_gamma_series(a: float, x: float) -> float:
         denom += 1.0
         term *= x / denom
         total += term
-        if abs(term) < abs(total) * _EPS:
+        if term < total * _EPS:  # both start at 1/a > 0 and gain factors x/denom > 0
             break
     return total * math.exp(-x + a * math.log(x) - math.lgamma(a))
 

@@ -52,6 +52,8 @@ class TestPfaConfig:
             {"nu": 10, "seed": True},
             {"nu": 10, "tie_seed": True},
             {"nu": 10, "tie_seed": False},
+            {"nu": 10, "theta": True},
+            {"nu": 10, "theta": False},
         ],
     )
     def test_rejects_bad_values(self, kwargs):
@@ -341,7 +343,7 @@ class TestMiFilter:
         with pytest.raises(ValueError, match="filter_relevant"):
             filter_by_mi(result, theta=0.1)
 
-    @pytest.mark.parametrize("theta", [float("nan"), -1.0])
+    @pytest.mark.parametrize("theta", [float("nan"), -1.0, True, False])
     def test_rejects_bad_theta(self, theta):
         ds = generate(SynthSpec("example4", 2000, seed=0))
         result = filter_relevant(run_pfa(ds, PfaConfig(nu=50)))
@@ -647,6 +649,12 @@ class TestRobustIntersection:
         ds = generate(SynthSpec("example1", 500, seed=0))
         with pytest.raises(ValueError, match="fraction must be in"):
             robust_intersection(ds, PfaConfig(nu=50), runs=1, fraction=1.5)
+
+    def test_rejects_a_bool_fraction(self):
+        # True == 1 would otherwise run on every point
+        ds = generate(SynthSpec("example1", 500, seed=0))
+        with pytest.raises(ValueError, match=r"fraction must be in \(0, 1\], got True"):
+            robust_intersection(ds, PfaConfig(nu=50), runs=1, fraction=True)
 
     def test_nu_checked_on_the_subsample_before_any_run(self, monkeypatch):
         # 900 of 1,000 points per subsample: nu=451 passes on the full

@@ -288,6 +288,15 @@ class TestRankPath:
         assert features[1].n_bins == 1
         assert not features[0].is_constant
 
+    @pytest.mark.parametrize("nu", [1, 2, 3, 10])
+    def test_points_sharing_one_high_rank_make_one_constant_bin(self, nu):
+        # ranks 0-4 hold no point: the walk must still give one bin, code 0
+        feature = discretize_ranks(np.array([5, 5, 5], dtype=np.uint32), nu)
+        assert feature.is_constant is True
+        assert feature.n_bins == 1
+        assert feature.bin_of_point.dtype == np.uint8
+        assert feature.bin_of_point.tolist() == [0, 0, 0]
+
     def test_one_bin_row(self):
         values = one_bin_rows()
         features = assert_rank_path_matches(values, np.arange(2000), nu=100)
@@ -344,7 +353,9 @@ class TestDiscretizeAll:
             assert not feature.is_constant
             assert min(bin_sizes(feature)) >= 100
 
-    def test_error_carries_row_index(self):
+    def test_bad_nu_reported_without_a_row(self):
+        # Dataset rows are finite, 1-d and non-empty, so the one refusal
+        # left is nu's, and it belongs to no row
         ds = Dataset(np.ones((3, 4)), n_outputs=0)
-        with pytest.raises(ValueError, match="row 1"):
+        with pytest.raises(ValueError, match=r"^nu must be an integer >= 1, got 0$"):
             discretize_all(ds, nu=0)

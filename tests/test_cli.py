@@ -379,12 +379,32 @@ class TestRobustCommand:
         assert f"--runs must be >= 1, got {runs}" in capsys.readouterr().err
         assert not (tmp_path / "r.report.json").exists()
 
-    def test_bad_fraction_rejected(self, example1_csv, tmp_path):
+    def test_bad_fraction_rejected(self, tmp_path, capsys):
+        # the input does not exist, as in test_bad_runs_rejected_before_ingest
         code = run_cli(
-            "robust", "--input", str(example1_csv), "--n-outputs", "0",
+            "robust", "--input", str(tmp_path / "absent.csv"), "--n-outputs", "0",
             "--nu", "100", "--fraction", "1.5", "--out", str(tmp_path / "r"),
         )
         assert code == 1
+        assert "--fraction must be in (0, 1], got 1.5" in capsys.readouterr().err
+        assert not (tmp_path / "r.report.json").exists()
+
+    def test_help_describes_every_flag(self, capsys):
+        # each flag has a description that ends with its default, taken from
+        # PfaConfig or the parser
+        defaults = {
+            "--ns": "50", "--alpha": "0.01", "--theta": "None: off", "--batching": "ordered",
+            "--seed": "0", "--tie-seed": "None: canonical",
+        }
+        for command, extra in (("run", {}), ("robust", {"--runs": "5", "--fraction": "0.95"})):
+            with pytest.raises(SystemExit):
+                run_cli(command, "--help")
+            options = " ".join(capsys.readouterr().out.split()).split("options:")[1]
+            for flag, default in {**defaults, **extra}.items():
+                entry = re.search(rf" {flag} \S+ (\S.*?) \(default ([^)]*)\)", options)
+                assert entry, f"pfa {command} {flag} has no description"
+                assert not entry.group(1).startswith("-"), entry.group(1)
+                assert entry.group(2) == default
 
 
 class TestReportShape:

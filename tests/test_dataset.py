@@ -200,7 +200,7 @@ class TestSubsample:
 
     def test_rejects_bad_fraction(self):
         ds = generate(SynthSpec("example1", 10, seed=0))
-        for fraction in (0.0, -0.5, 1.5):
+        for fraction in (0.0, -0.5, 1.5, True):
             with pytest.raises(ValueError):
                 subsample(ds, fraction, seed=0)
 
@@ -218,7 +218,7 @@ class TestSubsample:
         assert np.array_equal(subsample(ds, fraction, seed).values, ds.values[:, expected])
 
     def test_column_picker_checks_fraction(self):
-        for fraction in (0.0, -0.5, 1.5, float("nan")):
+        for fraction in (0.0, -0.5, 1.5, float("nan"), True, False):
             with pytest.raises(ValueError, match="fraction must be in"):
                 subsample_columns(10, fraction, seed=0)
         with pytest.raises(ValueError, match="selects no columns"):
