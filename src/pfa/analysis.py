@@ -19,7 +19,7 @@ import random
 from dataclasses import dataclass, field, replace
 
 from .binning import DiscretizedFeature, discretize_all, discretize_ranks, rank_rows
-from .dataset import Dataset, check_integer, subsample_columns
+from .dataset import Dataset, check_integer, check_range, subsample_columns
 from .depgraph import IndependenceCache, build_graph
 from .dissect import Removal, dissect
 from .stats import MIN_EXPECTED, mutual_information
@@ -51,14 +51,13 @@ class PfaConfig:
                 raise ValueError(
                     f"tie_seed must be an integer or None, got {self.tie_seed!r}"
                 ) from None
-        if not 0.0 < self.alpha < 1.0:
-            raise ValueError(f"alpha must be in (0, 1), got {self.alpha}")
+        check_range("alpha", self.alpha, lambda a: 0.0 < a < 1.0, "in (0, 1)")
         if self.batching not in BATCHING_MODES:
             raise ValueError(
                 f"batching must be one of {BATCHING_MODES}, got {self.batching!r}"
             )
-        if self.theta is not None and (isinstance(self.theta, bool) or not self.theta >= 0.0):
-            raise ValueError(f"theta must be >= 0, got {self.theta}")
+        if self.theta is not None:
+            check_range("theta", self.theta, lambda t: t >= 0.0, ">= 0")
 
 
 @dataclass(frozen=True)
@@ -221,8 +220,7 @@ def filter_by_mi(result: PfaResult, theta: float) -> PfaResult:
     """
     if result.relevant_features is None:
         raise ValueError("run filter_relevant before filter_by_mi")
-    if isinstance(theta, bool) or not theta >= 0.0:  # NaN fails every comparison
-        raise ValueError(f"theta must be >= 0, got {theta}")
+    check_range("theta", theta, lambda t: t >= 0.0, ">= 0")
     scores: dict[int, dict[int, float]] = {}
     selected = set()
     for feature in sorted(result.relevant_features):
@@ -261,13 +259,6 @@ def analyze(ds: Dataset, cfg: PfaConfig) -> PfaResult:
     return _filter(run_pfa(ds, cfg), cfg)
 
 
-def _analyze_binned(
-    disc_rows: list[DiscretizedFeature], n_outputs: int, cfg: PfaConfig
-) -> PfaResult:
-    """``analyze`` on rows already binned, outputs first."""
-    return _filter(_run_binned(disc_rows, n_outputs, cfg), cfg)
-
-
 def explain_feature(result: PfaResult, target: int) -> frozenset[int]:
     """Principal features not independent of the target variable.
 
@@ -294,8 +285,8 @@ def robust_intersection(
     are intersected.  Every row is ranked once, and each run bins its
     columns from those ranks: the call holds a ``uint32`` rank per input
     cell, and copies no subsample.  Arguments that no subsample can make
-    valid raise ``ValueError`` before the first run; a failing run raises
-    ``RuntimeError`` naming the run.
+    valid raise ``ValueError`` before anything is ranked; an error inside
+    a run propagates as raised.
     """
     check_integer("runs", runs, 1)
     _check_theta(ds, cfg)
@@ -304,15 +295,12 @@ def robust_intersection(
     _check_nu(cfg.nu, keep.size)
     ranks = rank_rows(ds.values)
     results = []
-    for run_index in range(runs):
-        run_seed = cfg.seed + run_index
-        try:
-            if run_index:
-                keep = subsample_columns(ds.n_points, fraction, run_seed)
-            disc_rows = [discretize_ranks(row[keep], cfg.nu) for row in ranks]
-            result = _analyze_binned(disc_rows, ds.n_outputs, replace(cfg, seed=run_seed))
-        except Exception as exc:
-            raise RuntimeError(f"run {run_index} failed: {exc}") from exc
-        results.append(result)
+    for seed in range(cfg.seed, cfg.seed + runs):
+        if seed != cfg.seed:
+            keep = subsample_columns(ds.n_points, fraction, seed)
+        disc_rows = [discretize_ranks(row[keep], cfg.nu) for row in ranks]
+        results.append(
+            _filter(_run_binned(disc_rows, ds.n_outputs, replace(cfg, seed=seed)), cfg)
+        )
     common = frozenset.intersection(*(r.selected_features() for r in results))
     return common, results

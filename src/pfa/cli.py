@@ -235,7 +235,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (OSError, ValueError, dataset.DatasetError, RuntimeError) as exc:
+    except (OSError, ValueError, dataset.DatasetError) as exc:
         _log(f"pfa: error: {exc}")
         return 1
 

@@ -35,6 +35,21 @@ def check_integer(name: str, value, least: int) -> None:
         raise ValueError(f"{name} must be an integer >= {least}, got {value!r}")
 
 
+def check_range(name: str, value, within, bounds: str) -> None:
+    """Raise ValueError unless ``within(value)``, naming the bounds.
+
+    A ``bool`` is refused, and so is a value that ``within`` cannot compare
+    (a ``TypeError``).  NaN fails every comparison, so a ``within`` made of
+    comparisons refuses it.
+    """
+    try:
+        valid = not isinstance(value, bool) and within(value)
+    except TypeError:
+        valid = False
+    if not valid:
+        raise ValueError(f"{name} must be {bounds}, got {value}")
+
+
 @dataclass(frozen=True)
 class Dataset:
     """Immutable matrix of measurements, shape (n_outputs + n_features, n_points)."""
@@ -44,8 +59,6 @@ class Dataset:
 
     def __post_init__(self):
         values = np.asarray(self.values, dtype=np.float64)
-        values.setflags(write=False)
-        object.__setattr__(self, "values", values)
         if values.ndim != 2:
             raise ValueError("values must be a 2-d matrix")
         if values.shape[1] < 1:
@@ -58,6 +71,9 @@ class Dataset:
             )
         if not np.all(np.isfinite(values)):
             raise ValueError("dataset contains non-finite entries")
+        # only a valid matrix is frozen: a refused one may be the caller's own
+        values.setflags(write=False)
+        object.__setattr__(self, "values", values)
 
     @property
     def n_rows(self) -> int:
@@ -202,8 +218,7 @@ def subsample_columns(n_points: int, fraction: float, seed: int) -> np.ndarray:
     Deterministic in (n_points, fraction, seed).  The one check of
     ``fraction``, shared by ``subsample`` and ``robust_intersection``.
     """
-    if isinstance(fraction, bool) or not 0.0 < fraction <= 1.0:
-        raise ValueError(f"fraction must be in (0, 1], got {fraction}")
+    check_range("fraction", fraction, lambda f: 0.0 < f <= 1.0, "in (0, 1]")
     size = int(round(fraction * n_points))
     if size < 1:
         raise ValueError(

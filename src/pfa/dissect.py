@@ -25,7 +25,7 @@ import random
 from dataclasses import dataclass
 from itertools import combinations
 
-from .depgraph import Graph, connected_components, is_complete, is_connected
+from .depgraph import Graph, connected_components, is_complete
 
 
 class CompleteGraphError(ValueError):
@@ -150,8 +150,6 @@ def min_node_cut(g: Graph, tie_seed: int | None = None) -> frozenset[int]:
         raise ValueError("min_node_cut needs at least 2 nodes")
     if is_complete(g):
         raise CompleteGraphError("complete graphs have no vertex cut")
-    if not is_connected(g):
-        return frozenset()
 
     rng = random.Random(tie_seed) if tie_seed is not None else None
     ranked = sorted(g.nodes)
@@ -162,6 +160,10 @@ def min_node_cut(g: Graph, tie_seed: int | None = None) -> frozenset[int]:
     in_nodes = int("01" * g.n_nodes, 2)  # the even bits
 
     pivot = min(ranked, key=g.degree)  # min keeps the first of equal degrees
+    # no split node is bit 2n, so the zero flow's search covers the pivot's component
+    _, reach = _level_layers(base, 2 * order[pivot] + 1, 2 * g.n_nodes)
+    if reach & in_nodes != in_nodes:
+        return frozenset()  # g is disconnected
     neighbors = [v for v in ranked if g.has_edge(pivot, v)]
     candidates = [(pivot, t) for t in ranked if t != pivot and not g.has_edge(pivot, t)]
     candidates.extend(

@@ -31,6 +31,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .binning import DiscretizedFeature
+from .dataset import check_range
 
 _EPS = 1e-15
 _TINY = 1e-300
@@ -183,11 +184,10 @@ def is_independent(
     counts over n.  The guard and the zero-cell check both read
     ``expected.min()``, the cell of the two smallest marginals.
     """
-    if not 0.0 < alpha < 1.0:
-        raise ValueError(f"alpha must be in (0, 1), got {alpha}")
+    check_range("alpha", alpha, lambda x: 0.0 < x < 1.0, "in (0, 1)")
+    observed = _joint_counts(a, b)  # checks the sizes, for a single bin too
     if not a.testable or not b.testable:
         return IndependenceVerdict(0.0, 0, 1.0, True, True)
-    observed = _joint_counts(a, b)
     row = a.bin_counts.astype(np.float64)
     col = b.bin_counts.astype(np.float64)
     expected = np.outer(row, col) / a.n_points

@@ -36,6 +36,7 @@ class DagSpec:
     derived: tuple[tuple[int, ...], ...]  # 0-based base indices per derived row
 
     def __post_init__(self):
+        check_integer("n_base", self.n_base, 1)
         for parents in self.derived:
             if not parents:
                 raise ValueError("derived feature needs at least one parent")
@@ -104,6 +105,8 @@ def generate(spec: SynthSpec) -> Dataset:
 
 def random_dag(n_base: int, n_derived: int, seed: int, max_parents: int = 3) -> DagSpec:
     """Random product DAG whose derived rows have 2..max_parents base parents."""
+    check_integer("n_base", n_base, 1)
+    check_integer("n_derived", n_derived, 0)
     check_integer("max_parents", max_parents, 2)
     if max_parents > n_base:
         raise ValueError(f"max_parents must be <= n_base={n_base}, got {max_parents}")

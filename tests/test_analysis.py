@@ -1,6 +1,7 @@
 import dataclasses
 import hashlib
 import itertools
+from decimal import Decimal
 
 import numpy as np
 import pytest
@@ -54,11 +55,17 @@ class TestPfaConfig:
             {"nu": 10, "tie_seed": False},
             {"nu": 10, "theta": True},
             {"nu": 10, "theta": False},
+            {"nu": 10, "theta": "x"},
+            {"nu": 10, "alpha": "x"},
+            {"nu": 10, "alpha": None},
         ],
     )
     def test_rejects_bad_values(self, kwargs):
         with pytest.raises(ValueError):
             PfaConfig(**kwargs)
+
+    def test_accepts_a_decimal_alpha(self):
+        assert PfaConfig(nu=10, alpha=Decimal("0.01")).alpha == Decimal("0.01")
 
     def test_accepts_a_negative_tie_seed(self):
         assert PfaConfig(nu=10, tie_seed=-1).tie_seed == -1
@@ -343,7 +350,7 @@ class TestMiFilter:
         with pytest.raises(ValueError, match="filter_relevant"):
             filter_by_mi(result, theta=0.1)
 
-    @pytest.mark.parametrize("theta", [float("nan"), -1.0, True, False])
+    @pytest.mark.parametrize("theta", [float("nan"), -1.0, True, False, "x", None])
     def test_rejects_bad_theta(self, theta):
         ds = generate(SynthSpec("example4", 2000, seed=0))
         result = filter_relevant(run_pfa(ds, PfaConfig(nu=50)))
@@ -661,10 +668,14 @@ class TestRobustIntersection:
         # dataset but leaves every subsampled variable a single bin
         ds = generate(SynthSpec("example1", 1000, seed=0))
 
+        def no_rank(*args):
+            raise AssertionError("ranked before validating nu")
+
         def no_run(*args):
             raise AssertionError("ran before validating nu")
 
-        monkeypatch.setattr("pfa.analysis._analyze_binned", no_run)
+        monkeypatch.setattr("pfa.analysis.rank_rows", no_rank)
+        monkeypatch.setattr("pfa.analysis._run_binned", no_run)
         with pytest.raises(ValueError, match=r"nu=451 .*n_points=900"):
             robust_intersection(ds, PfaConfig(nu=451), 2, 0.9)
 
@@ -674,11 +685,11 @@ class TestRobustIntersection:
         for result in results:
             assert {d.n_bins for d in result.discretized.values()} == {2}
 
-    def test_failing_run_is_named(self, monkeypatch):
+    def test_an_error_in_a_run_propagates_as_raised(self, monkeypatch):
         ds = generate(SynthSpec("example1", 1000, seed=0))
         calls = []
         cause = ArithmeticError("boom")
-        run_binned = pfa.analysis._analyze_binned
+        run_binned = pfa.analysis._run_binned
 
         def fail_second(disc_rows, n_outputs, cfg):
             calls.append(cfg.seed)
@@ -686,15 +697,15 @@ class TestRobustIntersection:
                 raise cause
             return run_binned(disc_rows, n_outputs, cfg)
 
-        monkeypatch.setattr("pfa.analysis._analyze_binned", fail_second)
-        with pytest.raises(RuntimeError, match="run 1 failed: boom") as info:
+        monkeypatch.setattr("pfa.analysis._run_binned", fail_second)
+        with pytest.raises(ArithmeticError) as info:
             robust_intersection(ds, PfaConfig(nu=50), 3, 0.9)
-        assert info.value.__cause__ is cause
+        assert info.value is cause
         assert calls == [0, 1]
 
     def test_theta_without_outputs_rejected_before_any_run(self, monkeypatch):
-        # a config error is a ValueError raised before subsampling, not a
-        # RuntimeError wrapped around the first run
+        # a config error is a ValueError raised before subsampling, not an
+        # error of the first run
         ds = generate(SynthSpec("example1", 1000, seed=0))
 
         def no_subsample(*args):

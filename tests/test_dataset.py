@@ -200,7 +200,7 @@ class TestSubsample:
 
     def test_rejects_bad_fraction(self):
         ds = generate(SynthSpec("example1", 10, seed=0))
-        for fraction in (0.0, -0.5, 1.5, True):
+        for fraction in (0.0, -0.5, 1.5, True, "x"):
             with pytest.raises(ValueError):
                 subsample(ds, fraction, seed=0)
 
@@ -218,7 +218,7 @@ class TestSubsample:
         assert np.array_equal(subsample(ds, fraction, seed).values, ds.values[:, expected])
 
     def test_column_picker_checks_fraction(self):
-        for fraction in (0.0, -0.5, 1.5, float("nan"), True, False):
+        for fraction in (0.0, -0.5, 1.5, float("nan"), True, False, "x", None):
             with pytest.raises(ValueError, match="fraction must be in"):
                 subsample_columns(10, fraction, seed=0)
         with pytest.raises(ValueError, match="selects no columns"):
@@ -239,6 +239,11 @@ class TestDatasetValidation:
     def test_rejects_non_finite(self):
         with pytest.raises(ValueError):
             Dataset(np.array([[1.0, np.inf]]), n_outputs=0)
+        # a refused float64 matrix is the caller's own, and stays writable
+        a = np.array([[1.0, 2.0], [np.nan, 3.0]])
+        with pytest.raises(ValueError, match="non-finite"):
+            Dataset(a, 0)
+        assert a.flags.writeable
 
     def test_rejects_all_output_rows(self):
         with pytest.raises(ValueError):

@@ -34,9 +34,21 @@ class TestMinNodeCut:
         with pytest.raises(ValueError):
             min_node_cut(Graph.from_edges([1], []))
 
-    def test_disconnected_gives_empty_cut(self):
-        g = Graph.from_edges([1, 2, 3, 4], [(1, 2)])
-        assert min_node_cut(g) == frozenset()
+    @pytest.mark.parametrize("tie_seed", [None, 0, 1, 2, 3])
+    @pytest.mark.parametrize(
+        "nodes, edges",
+        [
+            ([1, 2, 3, 4], [(1, 2)]),
+            # the pivot is an end of the path, where a one-node cut comes first
+            ([1, 2, 3, 4, 5, 6, 7], [(1, 2), (2, 3), (3, 4), (5, 6), (6, 7), (5, 7)]),
+            ([1, 2, 3, 4, 5, 6, 7, 8], [(1, 2), (2, 3), (4, 5), (6, 7), (7, 8), (6, 8)]),
+        ],
+        ids=["isolated-pivot", "pivot-in-larger-component", "three-components"],
+    )
+    def test_disconnected_gives_empty_cut(self, nodes, edges, tie_seed):
+        g = Graph.from_edges(nodes, edges)
+        assert not is_connected(g)
+        assert min_node_cut(g, tie_seed) == frozenset()
 
     def test_example1_graph_removes_the_linker(self):
         g = Graph.from_edges(

@@ -1,4 +1,5 @@
 import math
+from decimal import Decimal
 
 import mpmath as mp
 import numpy as np
@@ -86,8 +87,12 @@ class TestContingency:
         for pair_statistic in (stats._joint_counts, mutual_information):
             with pytest.raises(ValueError, match="mismatched"):
                 pair_statistic(short, long)
-        with pytest.raises(ValueError, match="mismatched"):
-            is_independent(short, long, 0.01)
+        # a single bin takes the untestable shortcut, after the size check
+        single = feature([0, 0, 0], n_bins=1)
+        for x, y in ((short, long), (single, feature([0, 1, 0, 1]))):
+            for pair in ((x, y), (y, x)):
+                with pytest.raises(ValueError, match="mismatched"):
+                    is_independent(*pair, 0.01)
 
 
 def chi2(a, b):
@@ -197,6 +202,16 @@ class TestIsIndependent:
         other = feature([0] * 50 + [1] * 50)
         for alpha in (0.001, 0.05, 0.5, 0.99):
             assert is_independent(const, other, alpha=alpha).independent
+
+    @pytest.mark.parametrize("alpha", [0.0, 1.0, float("nan"), True, "x", None])
+    def test_rejects_bad_alpha(self, alpha):
+        half = feature([0] * 5 + [1] * 5)
+        with pytest.raises(ValueError, match=r"alpha must be in \(0, 1\)"):
+            is_independent(half, half, alpha)
+
+    def test_accepts_a_decimal_alpha(self):
+        half = feature([0] * 5 + [1] * 5)
+        assert is_independent(half, half, Decimal("0.5")) == is_independent(half, half, 0.5)
 
 
 class TestMutualInformation:

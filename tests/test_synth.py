@@ -91,6 +91,27 @@ class TestCustomDag:
         with pytest.raises(ValueError, match="max_parents must be an integer >= 2"):
             random_dag(5, 3, seed=0, max_parents=max_parents)
 
+    @pytest.mark.parametrize(
+        "n_base, n_derived, message",
+        [
+            (5, -3, "n_derived must be an integer >= 0, got -3"),
+            (4, True, "n_derived must be an integer >= 0, got True"),
+            (2.5, 3, "n_base must be an integer >= 1, got 2.5"),
+            (0, 0, "n_base must be an integer >= 1, got 0"),
+        ],
+    )
+    def test_random_dag_rejects_bad_counts(self, n_base, n_derived, message):
+        with pytest.raises(ValueError, match=message):
+            random_dag(n_base, n_derived, seed=0)
+
+    @pytest.mark.parametrize("n_base, derived", [(2.5, ((0,),)), (-1, ()), (True, ())])
+    def test_dag_spec_rejects_a_bad_n_base(self, n_base, derived):
+        with pytest.raises(ValueError, match="n_base must be an integer >= 1"):
+            DagSpec(n_base, derived)
+
+    def test_random_dag_without_derived_rows(self):
+        assert random_dag(3, 0, seed=0) == DagSpec(3, ())
+
     def test_random_dag_is_deterministic(self):
         assert random_dag(10, 5, seed=3) == random_dag(10, 5, seed=3)
         for parents in random_dag(10, 20, seed=1).derived:
