@@ -14,6 +14,7 @@ ranks, and hands the binned rows to the same driver and filters.
 
 from __future__ import annotations
 
+import math
 import operator
 import random
 from dataclasses import dataclass, field, replace
@@ -22,7 +23,7 @@ from .binning import DiscretizedFeature, discretize_all, discretize_ranks, rank_
 from .dataset import Dataset, check_integer, check_range, subsample_columns
 from .depgraph import IndependenceCache, build_graph
 from .dissect import Removal, dissect
-from .stats import MIN_EXPECTED, mutual_information
+from .stats import MIN_EXPECTED, guard_failures, mutual_information
 
 BATCHING_MODES = ("ordered", "random")
 
@@ -99,26 +100,26 @@ def _partition(nodes: list[int], ns: int, batching: str, rng: random.Random):
     return [ordered[i : i + ns] for i in range(0, len(ordered), ns)]
 
 
-def _guard_warnings(cache: IndependenceCache) -> list[str]:
-    """One message per guard-failing verdict of the cache, in insertion order."""
-    return [
-        f"expected frequency below {MIN_EXPECTED} for pair "
-        f"{i}-{j}; consider increasing nu"
-        for (i, j), verdict in cache.verdicts.items()
-        if not verdict.guard_ok
-    ]
-
-
-def _single_bin_warnings(
-    discretized: dict[int, DiscretizedFeature], nu: int
-) -> list[str]:
-    """One message per non-constant variable that its binning left one bin."""
-    return [
+def _run_warnings(discretized: dict[int, DiscretizedFeature], nu: int) -> list[str]:
+    """A line per single-bin variable, then one if any testable pair fails the guard."""
+    warnings = [
         f"variable {i} is not constant but has a single bin at nu={nu}, "
         f"so it is not tested; consider decreasing nu"
         for i, d in discretized.items()
         if not d.testable and not d.is_constant
     ]
+    smallest = {i: int(d.bin_counts.min()) for i, d in discretized.items() if d.testable}
+    n, pairs = discretized[1].n_points, len(smallest) * (len(smallest) - 1) // 2
+    if failing := guard_failures(list(smallest.values()), n):
+        least = min(smallest.values())
+        holders = [i for i, s in smallest.items() if s == least]
+        warnings.append(
+            f"expected frequency below {MIN_EXPECTED} in {failing} of {pairs} variable "
+            f"pairs at n={n}, nu={nu}: the smallest bin holds {least} points in "
+            f"{len(holders)} variables, first {holders[:5]}; consider increasing nu to "
+            f"{math.ceil(math.sqrt(MIN_EXPECTED * n))}, which clears every pair"
+        )
+    return warnings
 
 
 def _check_nu(nu: int, n_points: int) -> None:
@@ -175,7 +176,7 @@ def _run_binned(
         principal_subgraphs=subgraphs,
         removed=[replace(r, step=step) for step, r in enumerate(removals, 1)],
         constants=constants,
-        warnings=_single_bin_warnings(discretized, cfg.nu) + _guard_warnings(cache),
+        warnings=_run_warnings(discretized, cfg.nu),
         cache=cache,
         discretized=discretized,
         n_outputs=n_outputs,
@@ -187,10 +188,7 @@ def filter_relevant(result: PfaResult) -> PfaResult:
 
     A subgraph enters the relevant set as a unit: when one member is not
     independent of one output, every member is included.  Pairs are tested
-    through the result's cache, under the settings of its run.  The new
-    result's warnings are the input's, then any guard-failing verdict of
-    the cache they do not name yet: the filter's own and any added since
-    the run, for instance by ``explain_feature``.
+    through the result's cache, under the settings of its run.
     """
     if result.n_outputs < 1:
         raise ValueError("relevance filtering needs at least one output row")
@@ -203,11 +201,7 @@ def filter_relevant(result: PfaResult) -> PfaResult:
         )
         if related:
             relevant.update(subgraph)
-    return replace(
-        result,
-        relevant_features=frozenset(relevant),
-        warnings=list(dict.fromkeys(result.warnings + _guard_warnings(result.cache))),
-    )
+    return replace(result, relevant_features=frozenset(relevant))
 
 
 def filter_by_mi(result: PfaResult, theta: float) -> PfaResult:

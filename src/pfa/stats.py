@@ -14,6 +14,8 @@ come from the data, is tested with ``dof = (k - 1) * (l - 1)`` (Fisher 1922).
 Its expected-frequency guard is Cochran's rule (Biometrics 1954): every
 expected cell must hold at least ``MIN_EXPECTED = 5`` points.  The guard
 changes no verdict; a table that fails it is flagged with ``guard_ok``.
+That cell is ``s_a * s_b / n``, with ``s`` a variable's smallest bin count:
+``guard_failures`` counts failing pairs from the ``s`` alone, before any test.
 The chi-square statistic is an exact sum of its cells, correctly rounded
 as ``math.fsum`` is, so its bits do not depend on the order of the cells
 or on the summation method.  Large tables split each cell's mantissa
@@ -204,6 +206,18 @@ def is_independent(
         independent=p >= alpha,
         guard_ok=bool(least >= MIN_EXPECTED),
     )
+
+
+def guard_failures(smallest, n_points: int) -> int:
+    """Pairs of variables, by smallest bin counts ``s >= 1``, failing the guard.
+
+    A pair fails, as its verdict's ``guard_ok`` does, when ``s_a * s_b`` is
+    below ``MIN_EXPECTED * n_points``; one sort and one search count them.
+    """
+    s = np.sort(np.asarray(smallest, dtype=np.int64))
+    limit = math.ceil(MIN_EXPECTED * n_points)
+    partners = s.searchsorted((limit - 1) // s, side="right")  # s * partner < limit
+    return int(partners.sum() - np.count_nonzero(s * s < limit)) // 2
 
 
 def mutual_information(a: DiscretizedFeature, b: DiscretizedFeature) -> float:

@@ -40,7 +40,9 @@ class DagSpec:
         for parents in self.derived:
             if not parents:
                 raise ValueError("derived feature needs at least one parent")
-            if any(not 0 <= p < self.n_base for p in parents):
+            for p in parents:
+                check_integer("parent index", p, 0)
+            if any(p >= self.n_base for p in parents):
                 raise ValueError(f"parent indices out of range: {parents}")
 
 

@@ -18,6 +18,7 @@ from pfa.analysis import (
     run_pfa,
 )
 from pfa.dataset import Dataset, subsample
+from pfa.stats import guard_failures
 from pfa.synth import DagSpec, SynthSpec, generate, random_dag
 
 
@@ -156,19 +157,45 @@ class TestRunPfa:
         result = run_pfa(Dataset(rows, n_outputs=0), PfaConfig(nu=10))
         assert any("expected frequency" in w for w in result.warnings)
 
-    @pytest.mark.parametrize("batching", ["ordered", "random"])
-    def test_guard_warnings_follow_the_cache_once_each(self, batching):
-        # several passes over sparse tables: each failing pair is warned
-        # once, in the order it entered the cache
-        dag = random_dag(6, 14, seed=3)
-        ds = generate(SynthSpec("custom", 600, seed=1, dag=dag))
-        result = run_pfa(ds, PfaConfig(nu=15, ns=5, batching=batching, seed=4))
-        failing = [key for key, v in result.cache.verdicts.items() if not v.guard_ok]
-        assert len(failing) > 10
-        assert result.warnings == [
-            f"expected frequency below 5.0 for pair {i}-{j}; consider increasing nu"
-            for i, j in failing
-        ]
+    @pytest.mark.parametrize("case", range(10))
+    def test_guard_rule_matches_every_verdict(self, case):
+        # the rule on the smallest bin counts equals each tested pair's
+        # guard_ok; its count of all failing pairs, tested or not, equals a
+        # pair loop's, and the run's one guard line states it
+        ds, nu = list(guard_corpus())[case]
+        result = run_pfa(ds, PfaConfig(nu=nu, alpha=1e-3))
+        smallest = {
+            i: int(d.bin_counts.min()) for i, d in result.discretized.items() if d.testable
+        }
+        for (i, j), verdict in result.cache.verdicts.items():
+            assert (guard_failures([smallest[i], smallest[j]], ds.n_points) == 0) is (
+                verdict.guard_ok
+            )
+        failing = sum(
+            a * b < 5 * ds.n_points for a, b in itertools.combinations(smallest.values(), 2)
+        )
+        assert guard_failures(list(smallest.values()), ds.n_points) == failing
+        guard_lines = [w for w in result.warnings if w.startswith("expected frequency")]
+        assert len(guard_lines) == (failing > 0)
+        pairs = len(smallest) * (len(smallest) - 1) // 2
+        for line in guard_lines:
+            assert line.startswith(
+                f"expected frequency below 5.0 in {failing} of {pairs} variable pairs "
+                f"at n={ds.n_points}, nu={nu}: "
+            )
+
+
+def guard_corpus():
+    """Untied product DAGs at three nu, tied and untied rows, a small example."""
+    dag = random_dag(30, 120, seed=7)
+    for n_points in (500, 2000):
+        ds = generate(SynthSpec("custom", n_points, seed=1, dag=dag))
+        yield from ((ds, nu) for nu in (25, 50, 100))
+    # ten three-valued rows and ten uniform ones: tied rows pass below sqrt(5n)
+    rng = np.random.default_rng(3)
+    rows = np.vstack([rng.integers(0, 3, (10, 2000)), rng.uniform(0, 1, (10, 2000))])
+    yield from ((Dataset(rows, 0), nu) for nu in (40, 80, 100))
+    yield generate(SynthSpec("example2", 200, seed=0)), 5
 
 
 def count_graph_calls(monkeypatch) -> dict[str, list[tuple[int, ...]]]:
@@ -231,9 +258,11 @@ def driver_corpus():
 
 class TestPinnedDriver:
     # sha256 of the records below as computed by the driver whose last pass
-    # was a separate dissection of the survivors after a pass removing nothing
+    # was a separate dissection of the survivors after a pass removing nothing;
+    # re-pinned when each run's guard warnings became one line from its bins,
+    # with every other field of the records unchanged
     DRIVER_SHA256 = (
-        "128fbe406ae2f73499a3b534d3dcff9be59abd258e63a1a29173c3de6c9054b9"
+        "da704489087e667fe5abd06ebb51184addcac60c9c20c55a4416bc2c93077733"
     )
 
     def test_results_match_the_reference_driver(self):
@@ -286,39 +315,45 @@ class TestRelevanceFilter:
         assert result.principal_features == {2, 3}
 
     def test_guard_failing_relevance_test_warned(self):
-        # the feature-output pair 1-2 is first tested by the filter
+        # the feature-output pair 1-2 is first tested by the filter; the
+        # run's one guard line, made from the bins, already counts it
         ds = generate(SynthSpec("example2", 200, seed=0))
-        cfg = PfaConfig(nu=5)
-        dissected = run_pfa(ds, cfg)
+        dissected = run_pfa(ds, PfaConfig(nu=5))
         assert (1, 2) not in dissected.cache.verdicts
         result = filter_relevant(dissected)
         assert not result.cache.verdicts[(1, 2)].guard_ok
-        assert result.warnings == dissected.warnings + [
-            "expected frequency below 5.0 for pair 1-2; consider increasing nu"
+        assert result.warnings == dissected.warnings == [
+            "expected frequency below 5.0 in 6 of 6 variable pairs at n=200, nu=5: "
+            "the smallest bin holds 5 points in 3 variables, first [2, 3, 4]; "
+            "consider increasing nu to 32, which clears every pair"
         ]
-        assert analyze(ds, cfg).warnings == result.warnings
 
     def test_repeated_calls_warn_alike(self):
         ds = generate(SynthSpec("example2", 200, seed=0))
         dissected = run_pfa(ds, PfaConfig(nu=5))
         first = filter_relevant(dissected)
         assert filter_relevant(dissected).warnings == first.warnings
-        assert len(first.warnings) == 4
+        assert len(first.warnings) == 1
 
-    def test_warnings_name_every_failing_verdict_of_the_cache(self):
-        # explain_feature tests the feature-output pair 1-2 first; the
-        # filter still warns about it, because it is in the result's cache
-        ds = generate(SynthSpec("example2", 200, seed=0))
-        dissected = run_pfa(ds, PfaConfig(nu=5))
-        explain_feature(dissected, 1)
-        assert not dissected.cache.verdicts[(1, 2)].guard_ok
-        result = filter_relevant(dissected)
-        assert result.warnings == [
-            f"expected frequency below 5.0 for pair {i}-{j}; consider increasing nu"
-            for (i, j), verdict in dissected.cache.verdicts.items()
-            if not verdict.guard_ok
-        ]
-        assert any("pair 1-2;" in warning for warning in result.warnings)
+    @pytest.mark.parametrize("case", ["guard", "single-bin-and-guard"])
+    def test_warnings_do_not_depend_on_the_cache_history(self, case):
+        # explain_feature fills the shared cache before the filters run;
+        # every step still gives the run's warnings, a function of its bins.
+        # At nu=90 one_bin_dataset's y (80 ones) has one bin, x fails the guard
+        if case == "guard":
+            ds, cfg = generate(SynthSpec("example2", 200, seed=0)), PfaConfig(nu=5, theta=0.01)
+        else:
+            ds, cfg = one_bin_dataset(1), PfaConfig(nu=90, theta=0.01)
+        warnings = run_pfa(ds, cfg).warnings
+        assert warnings[-1].startswith("expected frequency")
+        assert len(warnings) == (1 if case == "guard" else 2)
+        explained = run_pfa(ds, cfg)
+        explain_feature(explained, 1)
+        for dissected in (run_pfa(ds, cfg), explained):
+            related = filter_relevant(dissected)
+            assert related.warnings == warnings
+            assert filter_by_mi(related, cfg.theta).warnings == warnings
+        assert analyze(ds, cfg).warnings == warnings
 
     def test_requires_outputs(self):
         ds = generate(SynthSpec("example1", 1000, seed=0))
@@ -511,7 +546,7 @@ class TestSingleBinWarning:
         ds = one_bin_dataset(0)
         at_50 = run_pfa(ds, PfaConfig(nu=50))
         assert at_50.discretized[2].n_bins == 2
-        assert at_50.warnings == pfa.analysis._guard_warnings(at_50.cache)
+        assert not any("single bin" in w for w in at_50.warnings)
         values = np.vstack([ds.values, np.full(2000, 3.0)])
         result = run_pfa(Dataset(values, 0), PfaConfig(nu=100))
         assert result.constants == [2, 4]
@@ -524,8 +559,7 @@ class TestSingleBinWarning:
         run = run_pfa(ds, cfg)
         assert run.warnings[0] == warning
         related = filter_relevant(run)
-        assert related.warnings[0] == warning
-        assert related.warnings[1:] == pfa.analysis._guard_warnings(related.cache)
+        assert related.warnings == run.warnings
         assert filter_by_mi(related, 0.01).warnings == related.warnings
         assert analyze(ds, cfg).warnings == related.warnings
 
@@ -557,9 +591,10 @@ def robust_corpus():
 
 class TestPinnedRobust:
     # sha256 of the records below as computed when every run analyzed a
-    # copied subsample binned by its own sort
+    # copied subsample binned by its own sort; re-pinned, as DRIVER_SHA256
+    # was, for the one guard line per run
     ROBUST_SHA256 = (
-        "22c733ece975848c68c3c2f99ae581f4fef9033986858206a259aa615b2916c4"
+        "f4c8a5c000e4a990f1caee6481819ef6c344a926319dd70f98bb911af42fa37b"
     )
 
     def test_outputs_match_the_subsample_copy_driver(self):

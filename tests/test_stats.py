@@ -1,3 +1,4 @@
+import itertools
 import math
 from decimal import Decimal
 
@@ -191,6 +192,16 @@ class TestIsIndependent:
         verdict = is_independent(a, b, alpha=0.01)
         assert not verdict.guard_ok
 
+    @given(
+        smallest=st.lists(st.integers(1, 300), max_size=40),
+        n_points=st.integers(1, 5000),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_guard_failures_count_like_a_pair_loop(self, smallest, n_points):
+        pairs = itertools.combinations(smallest, 2)
+        failing = sum(a * b < stats.MIN_EXPECTED * n_points for a, b in pairs)
+        assert stats.guard_failures(smallest, n_points) == failing
+
     def test_dof_of_a_5_by_3_table_is_8(self):
         a = feature(np.arange(300) % 5)
         b = feature(np.arange(300) // 100)
@@ -296,6 +307,8 @@ class TestMatchesFsumOracle:
             smallest = fsum_contingency(a, b)[4].min()
             assert (smallest == 5.0) == guard_ok
             assert self.assert_same_verdict(a, b).guard_ok is guard_ok
+        # the rule on smallest bin counts passes at s_a * s_b = 5n, fails at 5n - 1
+        assert [stats.guard_failures(s, n) for s in ([10 * m, 20], [1, 5 * n - 1])] == [0, 1]
 
     def test_one_bin_partner(self):
         rng = np.random.default_rng(20)

@@ -104,9 +104,20 @@ class TestCustomDag:
         with pytest.raises(ValueError, match=message):
             random_dag(n_base, n_derived, seed=0)
 
-    @pytest.mark.parametrize("n_base, derived", [(2.5, ((0,),)), (-1, ()), (True, ())])
-    def test_dag_spec_rejects_a_bad_n_base(self, n_base, derived):
-        with pytest.raises(ValueError, match="n_base must be an integer >= 1"):
+    @pytest.mark.parametrize(
+        "n_base, derived, message",
+        [
+            (2.5, ((0,),), "n_base must be an integer >= 1"),
+            (-1, (), "n_base must be an integer >= 1"),
+            (True, (), "n_base must be an integer >= 1"),
+            # parents are checked as integers before their range
+            (3, ((0.5, 1),), "parent index must be an integer >= 0, got 0.5"),
+            (3, ((True, 2),), "parent index must be an integer >= 0, got True"),
+        ],
+        ids=["2.5-derived0", "-1-derived1", "True-derived2", "half-parent", "bool-parent"],
+    )
+    def test_dag_spec_rejects_a_bad_n_base(self, n_base, derived, message):
+        with pytest.raises(ValueError, match=message):
             DagSpec(n_base, derived)
 
     def test_random_dag_without_derived_rows(self):
