@@ -15,7 +15,6 @@ ranks, and hands the binned rows to the same driver and filters.
 from __future__ import annotations
 
 import math
-import operator
 import random
 from dataclasses import dataclass, field, replace
 
@@ -44,14 +43,7 @@ class PfaConfig:
         for name, least in (("nu", 1), ("ns", 2), ("seed", 0)):
             check_integer(name, getattr(self, name), least)
         if self.tie_seed is not None:  # any integer, negative too, seeds random.Random
-            try:
-                if isinstance(self.tie_seed, bool):
-                    raise TypeError("a bool is not a seed")
-                operator.index(self.tie_seed)
-            except TypeError:
-                raise ValueError(
-                    f"tie_seed must be an integer or None, got {self.tie_seed!r}"
-                ) from None
+            check_integer("tie_seed", self.tie_seed, None)
         check_range("alpha", self.alpha, lambda a: 0.0 < a < 1.0, "in (0, 1)")
         if self.batching not in BATCHING_MODES:
             raise ValueError(

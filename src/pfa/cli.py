@@ -10,6 +10,7 @@ perturb the written artifacts.
 Outputs of ``run`` and ``robust``:
   <out>.features.txt   selected 1-based row indices, ascending, one per line
   <out>.report.json    full reproduction record (config echo included)
+The report encodes a set as its ascending list, a record as its fields in order.
 """
 
 from __future__ import annotations
@@ -18,53 +19,38 @@ import argparse
 import json
 import sys
 import time
-from dataclasses import asdict, fields
+from dataclasses import fields, is_dataclass
 
 from . import analysis, dataset, synth
-from .dissect import Removal
 
 
 def _log(message: str) -> None:
     print(message, file=sys.stderr)
 
 
+def _encode(value):
+    """``json.dump``'s hook: a set as its ascending list, a record as its fields."""
+    if isinstance(value, frozenset):
+        return sorted(value)
+    if is_dataclass(value):
+        return vars(value)
+    raise TypeError(f"{type(value).__name__} is not JSON serializable")
+
+
 def _config_echo(cfg: analysis.PfaConfig, args, **extra) -> dict:
-    return {"input": args.input, "n_outputs": args.n_outputs, **asdict(cfg), **extra}
-
-
-def _removals_json(removals: list[Removal]) -> list[dict]:
-    return [
-        {
-            "step": r.step,
-            "nodes": sorted(r.nodes),
-            "from_component": sorted(r.from_component),
-        }
-        for r in removals
-    ]
+    return {"input": args.input, "n_outputs": args.n_outputs, **_encode(cfg), **extra}
 
 
 def _result_json(result: analysis.PfaResult) -> dict:
-    payload = {
-        "principal_subgraphs": [sorted(s) for s in result.principal_subgraphs],
-        "removed": _removals_json(result.removed),
-        "constants": sorted(result.constants),
-        "relevant_features": (
-            sorted(result.relevant_features)
-            if result.relevant_features is not None
-            else None
-        ),
-        "mi_scores": (
-            {
-                str(feature): {str(out): score for out, score in by_output.items()}
-                for feature, by_output in sorted(result.mi_scores.items())
-            }
-            if result.mi_scores is not None
-            else None
-        ),
-        "selected_features": sorted(result.selected_features()),
-        "warnings": list(result.warnings),
+    return {
+        "principal_subgraphs": result.principal_subgraphs,
+        "removed": result.removed,
+        "constants": result.constants,
+        "relevant_features": result.relevant_features,
+        "mi_scores": result.mi_scores,
+        "selected_features": result.selected_features(),
+        "warnings": result.warnings,
     }
-    return payload
 
 
 def _graph_json(result: analysis.PfaResult) -> dict:
@@ -72,22 +58,16 @@ def _graph_json(result: analysis.PfaResult) -> dict:
         i for i, d in result.discretized.items() if d.testable and i > result.n_outputs
     )
     node_set = set(nodes)
-    edges = []
-    tests = []
-    for (i, j), verdict in sorted(result.cache.verdicts.items()):
-        tests.append(
-            {
-                "pair": [i, j],
-                "chi2": verdict.chi2,
-                "dof": verdict.dof,
-                "p_value": verdict.p_value,
-                "independent": verdict.independent,
-                "guard_ok": verdict.guard_ok,
-            }
-        )
-        if not verdict.independent and i in node_set and j in node_set:
-            edges.append([i, j])
-    return {"nodes": nodes, "edges": edges, "tests": tests}
+    tests = sorted(result.cache.verdicts.items())
+    edges = [
+        [i, j] for (i, j), verdict in tests
+        if not verdict.independent and i in node_set and j in node_set
+    ]
+    return {
+        "nodes": nodes,
+        "edges": edges,
+        "tests": [{"pair": [i, j], **_encode(verdict)} for (i, j), verdict in tests],
+    }
 
 
 def _write_outputs(out_prefix: str, features, report: dict) -> None:
@@ -95,7 +75,7 @@ def _write_outputs(out_prefix: str, features, report: dict) -> None:
         for index in sorted(features):
             fh.write(f"{index}\n")
     with open(f"{out_prefix}.report.json", "w", newline="\n") as fh:
-        json.dump(report, fh, indent=2)
+        json.dump(report, fh, indent=2, default=_encode)
         fh.write("\n")
 
 
@@ -144,7 +124,7 @@ def cmd_robust(args) -> int:
     _log(f"pfa: {args.runs} runs in {time.perf_counter() - started:.2f}s")
     report = {
         "config": _config_echo(cfg, args, runs=args.runs, fraction=args.fraction),
-        "intersection": sorted(common),
+        "intersection": common,
         "runs": [_result_json(result) for result in results],
     }
     _write_outputs(args.out, common, report)

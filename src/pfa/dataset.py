@@ -22,17 +22,20 @@ class DatasetError(Exception):
     """Raised for malformed dataset files (ragged rows, bad cells, empty input)."""
 
 
-def check_integer(name: str, value, least: int) -> None:
+def check_integer(name: str, value, least: int | None) -> None:
     """Raise ValueError unless value is an integer (``operator.index``) >= least.
 
-    A ``bool`` is refused, although ``operator.index`` takes it.
+    ``least=None`` takes any integer.  A ``bool`` is refused, although
+    ``operator.index`` takes it.
     """
     try:
-        valid = not isinstance(value, bool) and operator.index(value) >= least
+        index = operator.index(value)
+        valid = not isinstance(value, bool) and (least is None or index >= least)
     except TypeError:
         valid = False
     if not valid:
-        raise ValueError(f"{name} must be an integer >= {least}, got {value!r}")
+        bound = "" if least is None else f" >= {least}"
+        raise ValueError(f"{name} must be an integer{bound}, got {value!r}")
 
 
 def check_range(name: str, value, within, bounds: str) -> None:
@@ -181,6 +184,8 @@ def _load_cells(path) -> np.ndarray:
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.reader(_plain_lines(fh))
         for row_no, record in enumerate(reader, start=1):
+            if not record:
+                raise DatasetError(f"blank line at row {row_no}")
             if rows and len(record) != len(rows[0]):
                 raise DatasetError(
                     f"row {row_no} has {len(record)} columns, expected {len(rows[0])}"
@@ -199,7 +204,7 @@ def _load_cells(path) -> np.ndarray:
                     )
                 parsed.append(value)
             rows.append(parsed)
-    if not rows or not rows[0]:
+    if not rows:
         raise DatasetError(f"empty dataset file: {path}")
     return np.array(rows, dtype=np.float64)
 

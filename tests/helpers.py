@@ -120,7 +120,8 @@ def assert_cut_minimality(g: Graph, result: DissectionResult, max_size: int = 3)
 
 
 # --- oracles for the numpy fast paths of ingest, export and binning ------
-# Each is the implementation that preceded the fast path, kept verbatim.
+# Each is the implementation that preceded the fast path, kept verbatim but
+# for one later rule: the per-cell parser names a blank line at its own row.
 
 
 def _plain_lines(fh):
@@ -140,6 +141,8 @@ def per_cell_load_csv(path, n_outputs: int = 1) -> Dataset:
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.reader(_plain_lines(fh))
         for row_no, record in enumerate(reader, start=1):
+            if not record:
+                raise DatasetError(f"blank line at row {row_no}")
             if rows and len(record) != len(rows[0]):
                 raise DatasetError(
                     f"row {row_no} has {len(record)} columns, expected {len(rows[0])}"
@@ -158,7 +161,7 @@ def per_cell_load_csv(path, n_outputs: int = 1) -> Dataset:
                     )
                 parsed.append(value)
             rows.append(parsed)
-    if not rows or not rows[0]:
+    if not rows:
         raise DatasetError(f"empty dataset file: {path}")
     return Dataset(np.array(rows, dtype=np.float64), n_outputs)
 

@@ -1,12 +1,14 @@
 import dataclasses
+import hashlib
 import json
 import re
 
+import numpy as np
 import pytest
 
-from pfa.analysis import PfaConfig
+from pfa.analysis import PfaConfig, analyze
 from pfa.cli import main
-from pfa.dataset import load_csv
+from pfa.dataset import Dataset, load_csv, save_csv
 
 
 def run_cli(*argv):
@@ -443,3 +445,91 @@ class TestReportShape:
         pairs = [tuple(e["pair"]) for e in report["graph"]["tests"]]
         assert pairs == sorted(pairs)
         assert report["config"]["input"] == str(example1_csv)
+
+
+# sha256 of the written (features.txt, report.json) for fixed flags.  Runs
+# use a relative --input, so the config echo holds the same string on every
+# machine; --theta is left out, since MI goes through numpy's vectorised log,
+# whose last bit may differ between machines.
+PINNED_INPUTS = {
+    "example1.csv": ("example1", "5000", "42"),
+    "example2.csv": ("example2", "2000", "0"),
+    "example4.csv": ("example4", "5000", "0"),
+}
+SINGLE_BIN_CSV = "1,2,3,4,5,6,7,8,9,10\n0,0,0,0,0,0,0,0,1,1\n"
+PINNED_OUTPUTS = {
+    "run-example2-nu20": (
+        ("run", "--input", "example2.csv", "--n-outputs", "1", "--nu", "20"),
+        "53c234e5e8472b6ac51c1ae1cab3fe06fad053beb8ebfd8977b010655bfdd3c3",
+        "e0d13ae41e3c5486955b0726a7200f249981e72a320466642bebc5c7689ee389",
+    ),
+    "run-example2-nu50": (
+        ("run", "--input", "example2.csv", "--n-outputs", "1", "--nu", "50"),
+        "53c234e5e8472b6ac51c1ae1cab3fe06fad053beb8ebfd8977b010655bfdd3c3",
+        "73f7cbddb74de79679c15ad7ee11c8648c7ac89e5b894149fba8520e9f98f2f1",
+    ),
+    "run-example4-tie-seed": (
+        ("run", "--input", "example4.csv", "--n-outputs", "1", "--nu", "100",
+         "--tie-seed", "2", "--batching", "random", "--ns", "2"),
+        "fcb9cc30b0f3e4715d032f3a0ce158e4d6bea8c618bda0f5d1f167300a087b8a",
+        "eb9b6e04feeb4b9406351f03e97b3ae25f0ee0c5d1606255afb793fa541f6a26",
+    ),
+    "robust-example1": (
+        ("robust", "--input", "example1.csv", "--n-outputs", "0", "--nu", "100",
+         "--runs", "3", "--fraction", "0.9"),
+        "14c5e74c4b96ccef41cd94db73a9ec3348038ac094feca4fd897cecffa07cdae",
+        "1cff2eeef35cc8d43eda6786810c75ef772aa826533c29c9a55371e073b58acd",
+    ),
+    "run-single-bin": (
+        ("run", "--input", "single_bin.csv", "--n-outputs", "0", "--nu", "3"),
+        "4355a46b19d348dc2f57c046f8ef63d4538ebb936000f3c9ee954a27460dd865",
+        "682685e0280d63740a11654f2381309939cc61055cabec2d3810be156b63195a",
+    ),
+}
+
+
+class TestPinnedOutputs:
+    @pytest.mark.parametrize(
+        "argv, features_sha256, report_sha256",
+        PINNED_OUTPUTS.values(),
+        ids=PINNED_OUTPUTS,
+    )
+    def test_written_files_keep_their_bytes(
+        self, tmp_path, monkeypatch, argv, features_sha256, report_sha256
+    ):
+        monkeypatch.chdir(tmp_path)
+        name = argv[2]
+        if name in PINNED_INPUTS:
+            scenario, n, seed = PINNED_INPUTS[name]
+            assert run_cli(
+                "synth", "--scenario", scenario, "--n", n, "--seed", seed, "--out", name
+            ) == 0
+        else:
+            (tmp_path / name).write_text(SINGLE_BIN_CSV)
+        assert run_cli(*argv, "--out", "out") == 0
+        digests = [
+            hashlib.sha256((tmp_path / f"out.{kind}").read_bytes()).hexdigest()
+            for kind in ("features.txt", "report.json")
+        ]
+        assert digests == [features_sha256, report_sha256]
+
+    def test_mi_scores_keyed_by_ascending_decimal_ids(self, tmp_path, monkeypatch):
+        # two outputs and twelve noisy copies of them, all relevant: features
+        # 3..14, whose ascending order is not the order of their strings
+        rng = np.random.default_rng(0)
+        outputs = rng.uniform(size=(2, 2000))
+        features = outputs[np.arange(12) % 2] + 0.1 * rng.normal(size=(12, 2000))
+        ds = Dataset(np.vstack([outputs, features]), n_outputs=2)
+        monkeypatch.chdir(tmp_path)
+        save_csv(ds, "data.csv")
+        assert run_cli(
+            "run", "--input", "data.csv", "--n-outputs", "2", "--nu", "100",
+            "--theta", "0.01", "--out", "out",
+        ) == 0
+        _, report = read_outputs(tmp_path / "out")
+        scores = analyze(ds, PfaConfig(nu=100, theta=0.01)).mi_scores
+        assert sorted(scores) == list(range(3, 15))
+        assert list(report["mi_scores"]) == [str(f) for f in sorted(scores)]
+        for feature, by_output in report["mi_scores"].items():
+            assert list(by_output) == ["1", "2"]
+            assert by_output == {str(o): s for o, s in scores[int(feature)].items()}

@@ -57,6 +57,16 @@ class TestLoadCsv:
         with pytest.raises(DatasetError, match="empty"):
             load_csv(write(tmp_path, ""), n_outputs=0)
 
+    @pytest.mark.parametrize(
+        "text, row",
+        [("\n1,2\n3,4\n", 1), ("1,2\n\n3,4\n", 2), ("1,2\n3,4\n\n", 3)],
+        ids=["first", "middle", "last"],
+    )
+    def test_blank_line_named_at_its_row(self, tmp_path, text, row):
+        with pytest.raises(DatasetError) as raised:
+            load_csv(write(tmp_path, text), n_outputs=0)
+        assert str(raised.value) == f"blank line at row {row}"
+
     def test_missing_file(self, tmp_path):
         with pytest.raises(OSError):
             load_csv(tmp_path / "nope.csv")
@@ -89,6 +99,7 @@ DIFFERENTIAL_INPUTS = {
     "cr_endings": "1,2\r3,4\r",
     "single_row": "1,2,3\n",
     "single_column": "1\n2\n3\n",
+    "blank_first_line": "\n1,2\n3,4\n",
 }
 
 
