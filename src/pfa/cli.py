@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 import time
 from dataclasses import fields, is_dataclass
@@ -81,6 +82,9 @@ def _write_outputs(out_prefix: str, features, report: dict) -> None:
 
 def _build_config(args) -> analysis.PfaConfig:
     # checked before ingest, so a bad flag does not wait for a large input
+    out_dir = os.path.dirname(args.out) or "."
+    if not os.path.isdir(out_dir):
+        raise ValueError(f"--out directory {out_dir!r} does not exist")
     if args.n_outputs < 0:
         raise ValueError(f"--n-outputs must be >= 0, got {args.n_outputs}")
     if args.theta is not None and args.n_outputs < 1:

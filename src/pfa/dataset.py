@@ -112,37 +112,20 @@ class Dataset:
         )
 
 
-def _plain_lines(fh):
-    """The file's lines, rejecting any with ``_``.
-
-    ``float()`` reads ``_`` as a digit separator (``1_0`` is 10.0), which no
-    numeric cell of this format contains.  One scan per line costs far less
-    than a check per cell.
-    """
-    for row_no, line in enumerate(fh, start=1):
-        if "_" in line:
-            cells = line.rstrip("\r\n").split(",")
-            col_no, cell = next((c, v) for c, v in enumerate(cells, start=1) if "_" in v)
-            raise DatasetError(
-                f"non-numeric cell {cell!r} at row {row_no}, column {col_no}"
-            )
-        yield line
-
-
 def load_csv(path, n_outputs: int = 1) -> Dataset:
     """Read a dataset from the headerless variables-by-points CSV layout.
 
-    Cells are parsed as 64-bit floats.  Rejects ragged rows, blank lines and
-    non-numeric or non-finite cells, each with its row (and column), and
-    empty files.
+    Cells are parsed as 64-bit floats.  Rejects empty files, and ragged
+    rows, blank lines and non-numeric or non-finite cells with their row
+    (and column): each row left to right, a ragged row before its cells.
 
     The file is first parsed whole by ``np.loadtxt``, which reads a number
-    the way ``float()`` does.  Its result is kept only when it is certain to
-    equal the per-cell parser's: the parse succeeded without a warning, the
-    file has no ``_`` and no blank line, and every value is finite.  Any
-    other file, whether malformed or merely unusual (quoted cells, non-ASCII
-    digits), is read again by the per-cell parser, which accepts it or
-    reports the first bad cell.
+    the way ``float()`` does but refuses a ``_`` digit separator.  Its
+    result is kept only when it is certain to equal the per-cell parser's:
+    the parse succeeded without a warning, the file has no blank line, and
+    every value is finite.  Any other file, whether malformed or merely
+    unusual (quoted cells, non-ASCII digits), is read again by the per-cell
+    parser, which accepts it or reports the first bad cell.
     """
     values = _load_whole_rows(path)
     if values is None:
@@ -150,9 +133,9 @@ def load_csv(path, n_outputs: int = 1) -> Dataset:
     return Dataset(values, n_outputs)
 
 
-def _nonblank_plain_lines(fh):
-    """``_plain_lines``, raising ``DatasetError`` on a blank line as well."""
-    for line in _plain_lines(fh):
+def _nonblank_lines(fh):
+    """The file's lines; a blank one, which ``np.loadtxt`` skips, raises."""
+    for line in fh:
         if not line.strip():
             raise DatasetError("blank line")
         yield line
@@ -165,7 +148,7 @@ def _load_whole_rows(path) -> np.ndarray | None:
         warnings.simplefilter("error")
         try:
             values = np.loadtxt(
-                _nonblank_plain_lines(fh),
+                _nonblank_lines(fh),
                 delimiter=",",
                 dtype=np.float64,
                 ndmin=2,
@@ -179,10 +162,13 @@ def _load_whole_rows(path) -> np.ndarray | None:
 
 
 def _load_cells(path) -> np.ndarray:
-    """Parse cell by cell with ``float()``; raises on the first bad cell."""
+    """Parse cell by cell with ``float()``; raises on the first bad cell.
+
+    A ``_`` makes a cell non-numeric: ``float()`` would read ``1_0`` as 10.0.
+    """
     rows: list[list[float]] = []
     with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.reader(_plain_lines(fh))
+        reader = csv.reader(fh)
         for row_no, record in enumerate(reader, start=1):
             if not record:
                 raise DatasetError(f"blank line at row {row_no}")
@@ -193,6 +179,8 @@ def _load_cells(path) -> np.ndarray:
             parsed = []
             for col_no, cell in enumerate(record, start=1):
                 try:
+                    if "_" in cell:
+                        raise ValueError(cell)
                     value = float(cell)
                 except ValueError:
                     raise DatasetError(

@@ -121,25 +121,16 @@ def assert_cut_minimality(g: Graph, result: DissectionResult, max_size: int = 3)
 
 # --- oracles for the numpy fast paths of ingest, export and binning ------
 # Each is the implementation that preceded the fast path, kept verbatim but
-# for one later rule: the per-cell parser names a blank line at its own row.
-
-
-def _plain_lines(fh):
-    for row_no, line in enumerate(fh, start=1):
-        if "_" in line:
-            cells = line.rstrip("\r\n").split(",")
-            col_no, cell = next((c, v) for c, v in enumerate(cells, start=1) if "_" in v)
-            raise DatasetError(
-                f"non-numeric cell {cell!r} at row {row_no}, column {col_no}"
-            )
-        yield line
+# for two later rules of the per-cell parser: it names a blank line at its own
+# row, and it refuses a ``_`` in the cell where it stands, so a row is checked
+# left to right and a ragged row is named before its cells.
 
 
 def per_cell_load_csv(path, n_outputs: int = 1) -> Dataset:
     """Oracle for ``load_csv``: csv.reader and ``float()`` on every cell."""
     rows: list[list[float]] = []
     with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.reader(_plain_lines(fh))
+        reader = csv.reader(fh)
         for row_no, record in enumerate(reader, start=1):
             if not record:
                 raise DatasetError(f"blank line at row {row_no}")
@@ -150,6 +141,8 @@ def per_cell_load_csv(path, n_outputs: int = 1) -> Dataset:
             parsed = []
             for col_no, cell in enumerate(record, start=1):
                 try:
+                    if "_" in cell:
+                        raise ValueError(cell)
                     value = float(cell)
                 except ValueError:
                     raise DatasetError(

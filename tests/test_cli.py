@@ -298,6 +298,30 @@ class TestRunCommand:
         assert code == 1
         assert message in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command", ["run", "robust"])
+    def test_absent_out_directory_rejected_before_ingest(self, command, tmp_path, capsys):
+        # the input does not exist: only a check made before load_csv can
+        # name --out instead of the missing file
+        out_dir = tmp_path / "no" / "such"
+        code = run_cli(
+            command, "--input", str(tmp_path / "absent.csv"), "--n-outputs", "0",
+            "--nu", "100", "--out", str(out_dir / "r"),
+        )
+        assert code == 1
+        assert f"--out directory {str(out_dir)!r} does not exist" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
+
+    def test_bare_out_prefix_is_in_the_current_directory(
+        self, example1_csv, tmp_path, monkeypatch
+    ):
+        monkeypatch.chdir(tmp_path)
+        code = run_cli(
+            "run", "--input", str(example1_csv), "--n-outputs", "0", "--nu", "100",
+            "--out", "result",
+        )
+        assert code == 0
+        assert (tmp_path / "result.report.json").exists()
+
 
 
 class TestRobustCommand:

@@ -67,6 +67,20 @@ class TestLoadCsv:
             load_csv(write(tmp_path, text), n_outputs=0)
         assert str(raised.value) == f"blank line at row {row}"
 
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("x,1_0\n", "non-numeric cell 'x' at row 1, column 1"),
+            ("1,2\n3_0,4,5\n", "row 2 has 3 columns, expected 2"),
+            ('"1_0",2\n', "non-numeric cell '1_0' at row 1, column 1"),
+        ],
+        ids=["cell_before_separator", "ragged_row_before_its_cells", "quoted_separator"],
+    )
+    def test_first_bad_cell_reported(self, tmp_path, text, message):
+        with pytest.raises(DatasetError) as raised:
+            load_csv(write(tmp_path, text), n_outputs=0)
+        assert str(raised.value) == message
+
     def test_missing_file(self, tmp_path):
         with pytest.raises(OSError):
             load_csv(tmp_path / "nope.csv")
@@ -100,6 +114,9 @@ DIFFERENTIAL_INPUTS = {
     "single_row": "1,2,3\n",
     "single_column": "1\n2\n3\n",
     "blank_first_line": "\n1,2\n3,4\n",
+    "bad_cell_before_separator_in_one_row": "x,1_0\n",
+    "separator_in_ragged_row": "1,2\n3_0,4,5\n",
+    "quoted_separator": '"1_0",2\n',
 }
 
 

@@ -1,0 +1,124 @@
+"""Pipeline properties over generated product-DAG inputs.
+
+Each property relates two runs of the whole pipeline (metamorphic testing)
+or a run and its own bookkeeping, so it holds for any input the strategy
+draws, not only for the pinned examples of the other modules.
+"""
+
+import math
+from unittest import mock
+
+import numpy as np
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
+
+from pfa.analysis import PfaConfig, analyze, explain_feature, robust_intersection
+from pfa.dataset import Dataset
+from pfa.depgraph import IndependenceCache
+from pfa.synth import SynthSpec, generate, random_dag
+
+PROPERTY_SETTINGS = settings(max_examples=30, deadline=None, derandomize=True)
+
+
+@st.composite
+def pipeline_inputs(draw):
+    """A ``random_dag`` dataset, its first row an output or not, and a config."""
+    n_base = draw(st.integers(2, 6))
+    dag = random_dag(
+        n_base, draw(st.integers(0, 20)), draw(st.integers(0, 10_000)),
+        max_parents=min(3, n_base),
+    )
+    n = draw(st.integers(400, 2_000))
+    values = generate(SynthSpec("custom", n, draw(st.integers(0, 10_000)), dag)).values
+    ds = Dataset(values, n_outputs=draw(st.integers(0, 1)))
+    cfg = PfaConfig(
+        nu=draw(st.integers(math.ceil(math.sqrt(5 * n)), n // 4)),
+        alpha=draw(st.sampled_from([1e-2, 1e-3, 1e-6])),
+        ns=draw(st.integers(2, 20)),
+    )
+    return ds, cfg
+
+
+def verdict_bits(result) -> list:
+    """Every cached verdict in insertion order, its floats as exact hex."""
+    return [
+        (pair, [f.hex() if isinstance(f, float) else f for f in vars(verdict).values()])
+        for pair, verdict in result.cache.verdicts.items()
+    ]
+
+
+def outcome(result) -> dict:
+    """What a run reports, in comparable form."""
+    return {
+        "principal_subgraphs": result.principal_subgraphs,
+        "removed": result.removed,
+        "constants": result.constants,
+        "warnings": result.warnings,
+        "relevant_features": result.relevant_features,
+        "mi_scores": result.mi_scores,
+        "selected": result.selected_features(),
+        "verdicts": verdict_bits(result),
+    }
+
+
+class RecordingCache(IndependenceCache):
+    """The cache, remembering every distinct pair asked of it."""
+
+    def __init__(self, features, alpha):
+        super().__init__(features, alpha)
+        self.requested: set[frozenset[int]] = set()
+
+    def verdict(self, i, j):
+        self.requested.add(frozenset((i, j)))
+        return super().verdict(i, j)
+
+    def compute_pairs(self, pairs):
+        self.requested.update(frozenset(pair) for pair in pairs)
+        return super().compute_pairs(pairs)
+
+
+class TestPipelineProperties:
+    @given(inputs=pipeline_inputs(), data=st.data())
+    @PROPERTY_SETTINGS
+    def test_increasing_transform_of_a_row_changes_nothing(self, inputs, data):
+        # bins depend only on the order and ties of a row's values
+        ds, cfg = inputs
+        row = data.draw(st.integers(ds.n_outputs, ds.n_rows - 1), label="row")
+        values = ds.values.copy()
+        values[row] = np.exp(values[row])
+        assume(np.unique(values[row]).size == np.unique(ds.values[row]).size)
+        assert outcome(analyze(Dataset(values, ds.n_outputs), cfg)) == outcome(
+            analyze(ds, cfg)
+        )
+
+    @given(inputs=pipeline_inputs())
+    @PROPERTY_SETTINGS
+    def test_appended_constant_row_only_joins_constants(self, inputs):
+        ds, cfg = inputs
+        values = np.vstack([ds.values, np.full((1, ds.n_points), 2.5)])
+        before = outcome(analyze(ds, cfg))
+        after = outcome(analyze(Dataset(values, ds.n_outputs), cfg))
+        assert after.pop("constants") == before.pop("constants") + [ds.n_rows + 1]
+        assert after == before
+
+    @given(inputs=pipeline_inputs())
+    @PROPERTY_SETTINGS
+    def test_one_robust_run_over_every_point_is_analyze(self, inputs):
+        ds, cfg = inputs
+        common, (run,) = robust_intersection(ds, cfg, 1, 1.0)
+        expected = analyze(ds, cfg)
+        assert outcome(run) == outcome(expected)
+        assert common == expected.selected_features()
+
+    @given(inputs=pipeline_inputs(), data=st.data())
+    @PROPERTY_SETTINGS
+    def test_cache_tests_each_requested_pair_once(self, inputs, data):
+        ds, cfg = inputs
+        with mock.patch("pfa.analysis.IndependenceCache", RecordingCache):
+            result = analyze(ds, cfg)
+        cache = result.cache
+        assert cache.test_calls == len(cache.requested)
+        # a follow-up query asks for pairs in either order, some cached
+        target = data.draw(st.integers(ds.n_outputs + 1, ds.n_rows), label="target")
+        explain_feature(result, target)
+        assert cache.test_calls == len(cache.requested)
