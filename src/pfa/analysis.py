@@ -27,6 +27,12 @@ from .stats import MIN_EXPECTED, guard_failures, mutual_information
 BATCHING_MODES = ("ordered", "random")
 
 
+def _check_theta_value(theta) -> None:
+    check_range("theta", theta, lambda t: t >= 0.0, ">= 0")
+    # an infinite threshold selects nothing, and JSON cannot write it
+    check_range("theta", theta, math.isfinite, "finite")
+
+
 @dataclass(frozen=True)
 class PfaConfig:
     """Run parameters.  ``nu`` has no default: it is dataset-dependent."""
@@ -50,7 +56,7 @@ class PfaConfig:
                 f"batching must be one of {BATCHING_MODES}, got {self.batching!r}"
             )
         if self.theta is not None:
-            check_range("theta", self.theta, lambda t: t >= 0.0, ">= 0")
+            _check_theta_value(self.theta)
 
 
 @dataclass(frozen=True)
@@ -206,7 +212,7 @@ def filter_by_mi(result: PfaResult, theta: float) -> PfaResult:
     """
     if result.relevant_features is None:
         raise ValueError("run filter_relevant before filter_by_mi")
-    check_range("theta", theta, lambda t: t >= 0.0, ">= 0")
+    _check_theta_value(theta)
     scores: dict[int, dict[int, float]] = {}
     selected = set()
     for feature in sorted(result.relevant_features):

@@ -11,18 +11,41 @@ Outputs of ``run`` and ``robust``:
   <out>.features.txt   selected 1-based row indices, ascending, one per line
   <out>.report.json    full reproduction record (config echo included)
 The report encodes a set as its ascending list, a record as its fields in order.
+``run``'s ``graph.tests`` is streamed row by row in ascending pair order, in
+the bytes ``json.dump(indent=2)`` would write, so no object per test is built.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 import time
 from dataclasses import fields, is_dataclass
+from operator import attrgetter
+from typing import get_type_hints
 
 from . import analysis, dataset, synth
+from .stats import IndependenceVerdict
+
+#: rows of ``graph.tests`` formatted per write
+_ROWS_PER_WRITE = 4096
+#: what follows ``graph.tests`` in a ``run`` report: the tests are the graph's
+#: last field, and the graph the report's
+_AFTER_TESTS = "\n  }\n}"
+
+
+def _json_float(value: float) -> str:
+    """A float as ``json.dumps(value, allow_nan=False)`` writes it."""
+    if not math.isfinite(value):
+        raise ValueError(f"Out of range float values are not JSON compliant: {value!r}")
+    return float.__repr__(value)
+
+
+#: how ``json`` writes a scalar of each verdict field type
+_JSON_SCALAR = {float: _json_float, int: int.__repr__, bool: ("false", "true").__getitem__}
 
 
 def _log(message: str) -> None:
@@ -55,36 +78,89 @@ def _result_json(result: analysis.PfaResult) -> dict:
 
 
 def _graph_json(result: analysis.PfaResult) -> dict:
+    """The graph's nodes and edges; ``_write_outputs`` streams its tests."""
     nodes = sorted(
         i for i, d in result.discretized.items() if d.testable and i > result.n_outputs
     )
     node_set = set(nodes)
-    tests = sorted(result.cache.verdicts.items())
-    edges = [
-        [i, j] for (i, j), verdict in tests
+    edges = sorted(
+        [i, j] for (i, j), verdict in result.cache.verdicts.items()
         if not verdict.independent and i in node_set and j in node_set
-    ]
-    return {
-        "nodes": nodes,
-        "edges": edges,
-        "tests": [{"pair": [i, j], **_encode(verdict)} for (i, j), verdict in tests],
-    }
+    )
+    return {"nodes": nodes, "edges": edges}
 
 
-def _write_outputs(out_prefix: str, features, report: dict) -> None:
+def _test_row_format() -> tuple[str, list]:
+    """A ``graph.tests`` row's ``%`` template, and each verdict field's getter and encoder.
+
+    The row is the pair followed by ``IndependenceVerdict``'s fields in
+    order, indented as ``json.dump(indent=2)`` nests it in the report.
+    """
+    names = [f.name for f in fields(IndependenceVerdict)]
+    hints = get_type_hints(IndependenceVerdict)
+    template = (
+        '\n      {\n        "pair": [\n          %d,\n          %d\n        ]'
+        + "".join(f",\n        {json.dumps(name)}: %s" for name in names)
+        + "\n      }"
+    )
+    return template, [(attrgetter(name), _JSON_SCALAR[hints[name]]) for name in names]
+
+
+def _dump_run_report(fh, report: dict, verdicts: dict) -> None:
+    """``report`` with ``graph.tests`` as a list of ``verdicts`` in pair order.
+
+    ``json.dumps`` encodes the rest with an empty test list, whose place the
+    rows then take, formatted a chunk at a time from the sorted pairs.
+    """
+    head = json.dumps(
+        {**report, "graph": {**report["graph"], "tests": []}},
+        indent=2, default=_encode, allow_nan=False,
+    )
+    assert head.endswith("[]" + _AFTER_TESTS), "graph.tests must end the report"
+    pairs = sorted(verdicts)
+    if not pairs:
+        fh.write(head + "\n")
+        return
+    template, columns = _test_row_format()
+    fh.write(head[: -len("[]" + _AFTER_TESTS)])
+    opening = "["
+    for start in range(0, len(pairs), _ROWS_PER_WRITE):
+        chunk = pairs[start : start + _ROWS_PER_WRITE]
+        found = [verdicts[pair] for pair in chunk]
+        # column by column, i and j, then each field encoded, zipped into rows
+        rows = zip(*zip(*chunk), *(map(encode, map(get, found)) for get, encode in columns))
+        fh.write(opening + ",".join([template % row for row in rows]))
+        opening = ","
+    fh.write("\n    ]" + _AFTER_TESTS + "\n")
+
+
+def _write_outputs(out_prefix: str, features, report: dict, verdicts=None) -> None:
+    """``features.txt``, and ``report`` as ``json.dump(indent=2)`` writes it.
+
+    Given a verdict cache's ``verdicts``, the report gets them as its last
+    field, ``graph.tests``.  Non-finite floats are refused, as JSON has none.
+    """
     with open(f"{out_prefix}.features.txt", "w", newline="\n") as fh:
         for index in sorted(features):
             fh.write(f"{index}\n")
     with open(f"{out_prefix}.report.json", "w", newline="\n") as fh:
-        json.dump(report, fh, indent=2, default=_encode)
-        fh.write("\n")
+        if verdicts is None:
+            json.dump(report, fh, indent=2, default=_encode, allow_nan=False)
+            fh.write("\n")
+        else:
+            _dump_run_report(fh, report, verdicts)
+
+
+def _check_out(path: str) -> None:
+    """Refuse an ``--out`` whose directory does not exist; a bare name is in ``.``."""
+    out_dir = os.path.dirname(path) or "."
+    if not os.path.isdir(out_dir):
+        raise ValueError(f"--out directory {out_dir!r} does not exist")
 
 
 def _build_config(args) -> analysis.PfaConfig:
     # checked before ingest, so a bad flag does not wait for a large input
-    out_dir = os.path.dirname(args.out) or "."
-    if not os.path.isdir(out_dir):
-        raise ValueError(f"--out directory {out_dir!r} does not exist")
+    _check_out(args.out)
     if args.n_outputs < 0:
         raise ValueError(f"--n-outputs must be >= 0, got {args.n_outputs}")
     if args.theta is not None and args.n_outputs < 1:
@@ -111,7 +187,7 @@ def cmd_run(args) -> int:
         **_result_json(result),
         "graph": _graph_json(result),
     }
-    _write_outputs(args.out, result.selected_features(), report)
+    _write_outputs(args.out, result.selected_features(), report, result.cache.verdicts)
     _log_warnings([result])
     return 0
 
@@ -137,6 +213,7 @@ def cmd_robust(args) -> int:
 
 
 def cmd_synth(args) -> int:
+    _check_out(args.out)  # before the dataset is generated
     dataset.check_integer("--n", args.n, 1)  # names the flag, not SynthSpec's field
     spec = synth.SynthSpec(scenario=args.scenario, n_points=args.n, seed=args.seed)
     ds = synth.generate(spec)

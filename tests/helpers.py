@@ -327,3 +327,56 @@ def fsum_is_independent(a, b, alpha):
         independent=p >= alpha,
         guard_ok=bool(expected.min() >= 5.0),
     )
+
+
+# --- oracle for the streamed report: the dicts ``json.dump`` wrote whole ----
+# The report builders that preceded the streamed ``graph.tests``, kept verbatim
+# but for their names and ``vars(verdict)`` for ``cli._encode(verdict)``, the
+# same dict: one dict per test, the whole report handed to json.
+
+
+def _reference_result_json(result) -> dict:
+    return {
+        "principal_subgraphs": result.principal_subgraphs,
+        "removed": result.removed,
+        "constants": result.constants,
+        "relevant_features": result.relevant_features,
+        "mi_scores": result.mi_scores,
+        "selected_features": result.selected_features(),
+        "warnings": result.warnings,
+    }
+
+
+def _reference_graph_json(result) -> dict:
+    nodes = sorted(
+        i for i, d in result.discretized.items() if d.testable and i > result.n_outputs
+    )
+    node_set = set(nodes)
+    tests = sorted(result.cache.verdicts.items())
+    edges = [
+        [i, j] for (i, j), verdict in tests
+        if not verdict.independent and i in node_set and j in node_set
+    ]
+    return {
+        "nodes": nodes,
+        "edges": edges,
+        "tests": [{"pair": [i, j], **vars(verdict)} for (i, j), verdict in tests],
+    }
+
+
+def reference_run_report(config: dict, result) -> dict:
+    """Oracle for ``pfa run``'s report: the dict it was dumped from whole."""
+    return {
+        "config": config,
+        **_reference_result_json(result),
+        "graph": _reference_graph_json(result),
+    }
+
+
+def reference_robust_report(config: dict, common, results) -> dict:
+    """Oracle for ``pfa robust``'s report, as ``reference_run_report``."""
+    return {
+        "config": config,
+        "intersection": common,
+        "runs": [_reference_result_json(result) for result in results],
+    }

@@ -1,6 +1,7 @@
 import dataclasses
 import hashlib
 import itertools
+import math
 from decimal import Decimal
 
 import numpy as np
@@ -64,6 +65,15 @@ class TestPfaConfig:
     def test_rejects_bad_values(self, kwargs):
         with pytest.raises(ValueError):
             PfaConfig(**kwargs)
+
+    @pytest.mark.parametrize(
+        "theta,message",
+        [(math.inf, "theta must be finite, got inf"), (-math.inf, "theta must be >= 0, got -inf")],
+    )
+    def test_theta_must_be_finite(self, theta, message):
+        # an infinite threshold selects nothing, and JSON has no number for it
+        with pytest.raises(ValueError, match=message):
+            PfaConfig(nu=10, theta=theta)
 
     def test_accepts_a_decimal_alpha(self):
         assert PfaConfig(nu=10, alpha=Decimal("0.01")).alpha == Decimal("0.01")
@@ -391,6 +401,12 @@ class TestMiFilter:
         result = filter_relevant(run_pfa(ds, PfaConfig(nu=50)))
         with pytest.raises(ValueError, match="theta must be >= 0"):
             filter_by_mi(result, theta)
+
+    def test_rejects_infinite_theta(self):
+        ds = generate(SynthSpec("example4", 2000, seed=0))
+        result = filter_relevant(run_pfa(ds, PfaConfig(nu=50)))
+        with pytest.raises(ValueError, match="theta must be finite, got inf"):
+            filter_by_mi(result, math.inf)
 
 
 class TestImmutableResults:

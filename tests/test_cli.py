@@ -1,14 +1,23 @@
 import dataclasses
 import hashlib
+import io
 import json
+import math
 import re
+from unittest import mock
 
 import numpy as np
 import pytest
+from helpers import reference_robust_report, reference_run_report
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from pfa.analysis import PfaConfig, analyze
+import pfa.cli
+from pfa.analysis import PfaConfig, analyze, robust_intersection
 from pfa.cli import main
 from pfa.dataset import Dataset, load_csv, save_csv
+from pfa.stats import IndependenceVerdict
+from pfa.synth import SynthSpec, generate
 
 
 def run_cli(*argv):
@@ -95,6 +104,17 @@ class TestSynthCommand:
         assert code == 1
         assert "pfa: error: --n must be an integer >= 1, got 0" in capsys.readouterr().err
         assert not out.exists()
+
+    def test_absent_out_directory_named_before_generating(self, tmp_path, capsys):
+        out = tmp_path / "no" / "such" / "x.csv"
+        with mock.patch.object(pfa.cli.synth, "generate") as generate:
+            code = run_cli("synth", "--scenario", "example1", "--out", str(out))
+        assert code == 1
+        assert f"--out directory {str(out.parent)!r} does not exist" in (
+            capsys.readouterr().err
+        )
+        generate.assert_not_called()
+        assert list(tmp_path.iterdir()) == []
 
     def test_custom_scenario_not_offered(self, tmp_path, capsys):
         # custom needs a DagSpec, which the command line cannot give
@@ -285,8 +305,9 @@ class TestRunCommand:
             ("--theta", "nan", "theta must be >= 0, got nan"),
             ("--n-outputs", "-1", "--n-outputs must be >= 0, got -1"),
             ("--seed", "-1", "seed must be an integer >= 0, got -1"),
+            ("--theta", "inf", "theta must be finite, got inf"),
         ],
-        ids=["theta-nan", "negative-n-outputs", "negative-seed"],
+        ids=["theta-nan", "negative-n-outputs", "negative-seed", "theta-inf"],
     )
     def test_bad_value_rejected_before_ingest(
         self, command, flag, value, message, tmp_path, capsys
@@ -297,6 +318,19 @@ class TestRunCommand:
         )
         assert code == 1
         assert message in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["run", "robust"])
+    def test_infinite_theta_refused_and_nothing_written(
+        self, command, example2_csv, tmp_path, capsys
+    ):
+        # inf would select nothing and write "theta": Infinity, which is not JSON
+        code = run_cli(
+            command, "--input", str(example2_csv), "--n-outputs", "1", "--nu", "100",
+            "--theta", "inf", "--out", str(tmp_path / "out"),
+        )
+        assert code == 1
+        assert "pfa: error: theta must be finite, got inf" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
 
     @pytest.mark.parametrize("command", ["run", "robust"])
     def test_absent_out_directory_rejected_before_ingest(self, command, tmp_path, capsys):
@@ -469,6 +503,116 @@ class TestReportShape:
         pairs = [tuple(e["pair"]) for e in report["graph"]["tests"]]
         assert pairs == sorted(pairs)
         assert report["config"]["input"] == str(example1_csv)
+
+
+def binary_rows(*flips) -> np.ndarray:
+    """1,000 zeros then 1,000 ones, and per flip count a copy with that many
+    points of each half flipped: at nu=500, a 2x2 table per pair."""
+    base = np.repeat([0.0, 1.0], 1000)
+    rows = [base]
+    for n in flips:
+        row = base.copy()
+        row[:n], row[1000 : 1000 + n] = 1.0, 0.0
+        rows.append(row)
+    return np.vstack(rows)
+
+
+def p_values(report) -> list:
+    return sorted(test["p_value"] for test in report["graph"]["tests"])
+
+
+# rows or a synth scenario, n_outputs, nu, robust's runs and fraction (None
+# for run), and what the case must show about the report it writes
+STREAMED_CASES = {
+    "example1-no-outputs": ("example1", 0, 100, None, lambda r: r["graph"]["edges"]),
+    "example2-nu20-guard": ("example2", 1, 20, None, lambda r: r["warnings"]),
+    "single-bin-output": (
+        np.array([[0.0] * 8 + [1.0] * 2, np.arange(10.0)]), 1, 3, None,
+        lambda r: [t for t in r["graph"]["tests"] if (t["chi2"], t["dof"]) == (0.0, 0)],
+    ),
+    "p-zero-and-below-1e-300": (
+        np.vstack([binary_rows(70, 85), binary_rows()]), 0, 500, None,
+        lambda r: 0.0 in p_values(r) and any(0.0 < p < 1e-300 for p in p_values(r)),
+    ),
+    "one-testable-feature": (
+        np.array([[1.0, 2, 3, 4, 5, 6], [7.0] * 6]), 0, 2, None,
+        lambda r: r["graph"] == {"nodes": [1], "edges": [], "tests": []},
+    ),
+    "robust-example1": ("example1", 0, 100, (2, 0.9), lambda r: len(r["runs"]) == 2),
+}
+
+
+class TestStreamedReport:
+    """The written report equals ``json.dump`` of the dict it was built as."""
+
+    @pytest.mark.parametrize(
+        "source, n_outputs, nu, robust, shows", STREAMED_CASES.values(), ids=STREAMED_CASES
+    )
+    def test_same_bytes_as_the_whole_dict(
+        self, tmp_path, monkeypatch, source, n_outputs, nu, robust, shows
+    ):
+        monkeypatch.chdir(tmp_path)
+        if isinstance(source, str):
+            source = generate(SynthSpec(source, 5000, seed=42)).values
+        save_csv(Dataset(source, n_outputs), "in.csv")
+        ds = load_csv("in.csv", n_outputs)
+        argv = ["--input", "in.csv", "--n-outputs", str(n_outputs), "--nu", str(nu)]
+        cfg = PfaConfig(nu=nu)
+        config = {"input": "in.csv", "n_outputs": n_outputs, **vars(cfg)}
+        if robust is None:
+            assert run_cli("run", *argv, "--out", "out") == 0
+            expected = reference_run_report(config, analyze(ds, cfg))
+        else:
+            runs, fraction = robust
+            argv += ["--runs", str(runs), "--fraction", str(fraction)]
+            assert run_cli("robust", *argv, "--out", "out") == 0
+            config.update(runs=runs, fraction=fraction)
+            expected = reference_robust_report(
+                config, *robust_intersection(ds, cfg, runs, fraction)
+            )
+        written = (tmp_path / "out.report.json").read_text()
+        assert written == json.dumps(expected, indent=2, default=pfa.cli._encode) + "\n"
+        assert shows(json.loads(written))
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(
+        found=st.lists(
+            st.builds(
+                IndependenceVerdict,
+                chi2=st.floats(allow_nan=False, allow_infinity=False),
+                dof=st.integers(0, 10**6),
+                p_value=st.floats(0.0, 1.0),
+                independent=st.booleans(),
+                guard_ok=st.booleans(),
+            ),
+            max_size=12,
+        ),
+        rows_per_write=st.integers(1, 4),
+    )
+    def test_rows_match_json_for_any_finite_verdict(self, found, rows_per_write):
+        # pairs in reverse order, so the writer must sort them; chunks of a
+        # few rows, so the joins between writes are covered
+        verdicts = {
+            (i, i + 1 + i % 3): verdict
+            for i, verdict in reversed(list(enumerate(found, start=1)))
+        }
+        graph = {"nodes": [1], "edges": [[1, 2]]}
+        report = {"config": {"theta": 0.5}, "graph": graph}
+        tests = [{"pair": list(pair), **vars(verdicts[pair])} for pair in sorted(verdicts)]
+        fh = io.StringIO()
+        with mock.patch.object(pfa.cli, "_ROWS_PER_WRITE", rows_per_write):
+            pfa.cli._dump_run_report(fh, report, verdicts)
+        expected = {**report, "graph": {**graph, "tests": tests}}
+        assert fh.getvalue() == json.dumps(expected, indent=2) + "\n"
+
+    @pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan])
+    def test_non_finite_verdict_refused_as_json_refuses_it(self, value):
+        verdicts = {(1, 2): IndependenceVerdict(value, 1, 0.5, True, True)}
+        report = {"graph": {"nodes": [1, 2], "edges": []}}
+        with pytest.raises(ValueError, match="not JSON compliant"):
+            json.dumps({"chi2": value}, indent=2, allow_nan=False)
+        with pytest.raises(ValueError, match=f"not JSON compliant: {value!r}"):
+            pfa.cli._dump_run_report(io.StringIO(), report, verdicts)
 
 
 # sha256 of the written (features.txt, report.json) for fixed flags.  Runs

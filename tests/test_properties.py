@@ -6,6 +6,7 @@ draws, not only for the pinned examples of the other modules.
 """
 
 import math
+from itertools import combinations
 from unittest import mock
 
 import numpy as np
@@ -15,6 +16,7 @@ from hypothesis import strategies as st
 from pfa.analysis import PfaConfig, analyze, explain_feature, robust_intersection
 from pfa.dataset import Dataset
 from pfa.depgraph import IndependenceCache
+from pfa.stats import is_independent
 from pfa.synth import SynthSpec, generate, random_dag
 
 PROPERTY_SETTINGS = settings(max_examples=30, deadline=None, derandomize=True)
@@ -122,3 +124,36 @@ class TestPipelineProperties:
         target = data.draw(st.integers(ds.n_outputs + 1, ds.n_rows), label="target")
         explain_feature(result, target)
         assert cache.test_calls == len(cache.requested)
+
+    @given(inputs=pipeline_inputs())
+    @PROPERTY_SETTINGS
+    def test_principal_subgraphs_are_complete_and_independent_of_each_other(self, inputs):
+        ds, cfg = inputs
+        result = analyze(ds, cfg)
+        principal = [node for subgraph in result.principal_subgraphs for node in subgraph]
+        removed = [node for removal in result.removed for node in removal.nodes]
+        assert sorted(principal + removed + result.constants) == list(
+            range(ds.n_outputs + 1, ds.n_rows + 1)
+        )
+        # the final pass tests every pair of its nodes, principals included
+        subgraph_of = {
+            node: k for k, subgraph in enumerate(result.principal_subgraphs) for node in subgraph
+        }
+        for i, j in combinations(sorted(subgraph_of), 2):
+            verdict = result.cache.cached(i, j)
+            assert verdict is not None, f"principal pair {i}-{j} untested"
+            assert verdict.independent == (subgraph_of[i] != subgraph_of[j])
+
+    @given(inputs=pipeline_inputs())
+    @PROPERTY_SETTINGS
+    def test_a_subgraph_is_relevant_when_a_member_depends_on_an_output(self, inputs):
+        ds, cfg = inputs
+        ds = Dataset(ds.values, n_outputs=1)
+        result = analyze(ds, cfg)
+        output = result.discretized[1]
+
+        def depends(member: int) -> bool:
+            return not is_independent(result.discretized[member], output, cfg.alpha).independent
+
+        relevant = [s for s in result.principal_subgraphs if any(map(depends, s))]
+        assert result.relevant_features == frozenset().union(*relevant)
