@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import math
 from decimal import Decimal
@@ -14,13 +15,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from pfa import stats
+from pfa.analysis import PfaConfig, run_pfa
 from pfa.binning import DiscretizedFeature, discretize
+from pfa.dataset import Dataset
 from pfa.stats import (
     chi_square_p_value,
     is_independent,
     mutual_information,
     regularized_upper_gamma,
 )
+from pfa.synth import SynthSpec, generate, random_dag
 
 mp.mp.dps = 40
 
@@ -430,3 +434,39 @@ class TestExactSum:
         cells = ((observed - expected) ** 2 / expected).ravel()
         assert cells.size >= stats._FSUM_MAX_CELLS
         assert chi2(a, b) == math.fsum(cells.tolist())
+
+
+class TestPinnedVerdicts:
+    """Every cached verdict's bits over two seeded runs, as sha256 pins.
+
+    One run's tables hold 256 to 400 cells and the other's 1,190 to 1,296,
+    either side of the 700 cells where the statistic's exact sum once
+    switched from ``math.fsum`` to per-exponent buckets; the pins were taken
+    then.  Rows rounded to a few decimals tie, so margins are uneven.
+    """
+
+    @pytest.mark.parametrize(
+        "n_base, n_derived, seed, n_points, nu, decimals, cells, sha256",
+        [
+            (8, 52, 3, 3100, 150, 1, (256, 400),
+             "8950ff1081fed627679e0b47a6ff35a5e11c5512f6c0881e574a28bd4992984f"),
+            (6, 44, 4, 9100, 250, 2, (1190, 1296),
+             "3152ffbfbb385fe5d69959b0dafab67c12f7685a2a8bc3ce0bab3880a6cafe53"),
+        ],
+        ids=["small-tables", "large-tables"],
+    )
+    def test_verdict_bits(self, n_base, n_derived, seed, n_points, nu, decimals, cells, sha256):
+        dag = random_dag(n_base, n_derived, seed=seed)
+        values = generate(SynthSpec("custom", n_points, seed=seed + 1, dag=dag)).values
+        result = run_pfa(
+            Dataset(np.round(values, decimals), n_outputs=1),
+            PfaConfig(nu=nu, ns=50, alpha=1e-3),
+        )
+        bins = {i: d.n_bins for i, d in result.discretized.items()}
+        sizes = [bins[i] * bins[j] for i, j in result.cache.verdicts]
+        assert (min(sizes), max(sizes)) == cells
+        digest = hashlib.sha256()
+        for (i, j), v in sorted(result.cache.verdicts.items()):
+            bits = (i, j, v.chi2.hex(), v.p_value.hex(), v.dof, v.independent, v.guard_ok)
+            digest.update(repr(bits).encode())
+        assert digest.hexdigest() == sha256
