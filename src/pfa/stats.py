@@ -18,11 +18,13 @@ That cell is ``s_a * s_b / n``, with ``s`` a variable's smallest bin count:
 ``guard_failures`` counts failing pairs from the ``s`` alone, before any test.
 The chi-square statistic is an exact sum of its cells, correctly rounded
 as ``math.fsum`` is, so its bits do not depend on the order of the cells
-or on the summation method.  Large tables split each cell's mantissa
-into two 26-bit integers, sum them exactly per binary exponent with
-``np.bincount(weights=...)`` and finish with ``math.fsum`` over the few
-bucket sums (after Shewchuk 1997 and Neal's superaccumulators,
-arXiv:1505.05571).
+or on the summation method.  The cells split at one power of two into
+high parts, whose float sum is exact in any order, and exact remainders
+(the error-free extraction of Rump, Ogita & Oishi, SIAM J. Sci. Comput.
+31(1), 2008).  The remainders are summed in float; Knuth's TwoSum of the
+two sums, with a static bound on the remainders' rounding, certifies
+that their float total is the correctly rounded sum, and ``math.fsum``
+decides whenever it cannot.
 """
 
 from __future__ import annotations
@@ -33,17 +35,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .binning import DiscretizedFeature
-from .dataset import check_range
+from .dataset import check_integer, check_range
 
 _EPS = 1e-15
 _TINY = 1e-300
 _MAX_ITER = 10_000_000
-
-#: below this many cells math.fsum is faster than the bucketed exact sum
-#: (crossover measured at about 680 cells of chi-square tables)
-_FSUM_MAX_CELLS = 700
-#: a bucket's float sums of 27-bit integers stay exact below this many terms
-_BUCKET_MAX_TERMS = 2**26
 
 #: Cochran's minimum expected cell count for the chi-square approximation
 MIN_EXPECTED = 5.0
@@ -68,41 +64,42 @@ def _joint_counts(a: DiscretizedFeature, b: DiscretizedFeature) -> np.ndarray:
     # explicit dtypes: the flat code never wraps, under either NumPy casting rule
     flat = np.multiply(a.bin_of_point, l, dtype=np.min_scalar_type(k * l))
     np.add(flat, b.bin_of_point, out=flat)
-    return np.bincount(flat.astype(np.intp), minlength=k * l).reshape(k, l)
+    return np.bincount(flat, minlength=k * l).reshape(k, l)
 
 
 def _exact_sum(values: np.ndarray) -> float:
     """The correctly rounded sum of a 1-d float64 array, equal to math.fsum.
 
-    A finite value is m * 2**(e - 53) with m an integer below 2**53, and
-    m = hi * 2**26 + lo splits into two integers below 2**27, so the float
-    sums of the halves per exponent e are exact for fewer than 2**26 terms.
-    Scaled back by their powers of two, the bucket sums stay exact floats
-    while no exponent is below -1021 or above 997; their ``math.fsum`` is
-    then the correctly rounded sum of the values (a zero sum is +0.0).
-    Small arrays and values outside that range go to ``math.fsum`` directly.
+    With sigma a power of two of at least (n + 2) * max|x|, the high parts
+    q = (sigma + x) - sigma are multiples of ulp(sigma) / 2, so their float
+    sum tau is exact in any order, and the remainders x - q are exact and at
+    most ulp(sigma) / 2; their float sum s errs by under n**2 * 2**-52 *
+    ulp(sigma) / 2.  r = tau + s is the rounded exact sum when that bound
+    plus TwoSum's residual of the addition stays below half the gap from r
+    to its nearer neighbour.  Otherwise, and for no terms, zeros only, a
+    non-finite term or a sigma past the float range or small enough for the
+    bound to underflow, ``math.fsum`` decides.
     """
-    if not _FSUM_MAX_CELLS <= values.size < _BUCKET_MAX_TERMS:
+    n = values.size
+    scale = (n + 2) * float(np.maximum.reduce(np.abs(values), initial=0.0))
+    if not 2.0**-900 < scale < 2.0**1023:
         return math.fsum(values.tolist())
-    mantissa, exponent = np.frexp(values)
-    low, high = int(exponent.min()), int(exponent.max())
-    if low < -1021 or high > 997:
-        return math.fsum(values.tolist())
-    m = mantissa * 2.0**53
-    hi = np.trunc(m * 2.0**-26)
-    bucket = exponent - low
-    hi_sums = np.bincount(bucket, weights=hi)
-    lo_sums = np.bincount(bucket, weights=m - hi * 2.0**26)
-    if not math.isfinite(hi_sums.sum() + lo_sums.sum()):
-        return math.fsum(values.tolist())  # inf or nan: fsum's own result
-    scale = np.arange(low - 53, low - 53 + hi_sums.size, dtype=np.int32)
-    return math.fsum(
-        np.ldexp(hi_sums, scale + 26).tolist() + np.ldexp(lo_sums, scale).tolist()
-    )
+    sigma = math.ldexp(1.0, math.frexp(scale)[1])
+    high = values + sigma
+    high -= sigma
+    tau = float(np.add.reduce(high))
+    s = float(np.add.reduce(np.subtract(values, high, out=high)))
+    r = tau + s
+    b = r - tau
+    residual = (tau - (r - b)) + (s - b)  # TwoSum: tau + s == r + residual exactly
+    if abs(residual) + n * n * sigma * 2.0**-105 < abs(r - math.nextafter(r, 0.0)) / 2:
+        return r
+    return math.fsum(values.tolist())
 
 
 def _lower_gamma_series(a: float, x: float) -> float:
     """Regularized lower incomplete gamma P(a, x) for x < a + 1."""
+    eps = _EPS
     term = 1.0 / a
     total = term
     denom = a
@@ -110,61 +107,59 @@ def _lower_gamma_series(a: float, x: float) -> float:
         denom += 1.0
         term *= x / denom
         total += term
-        if term < total * _EPS:  # both start at 1/a > 0 and gain factors x/denom > 0
+        if term < total * eps:  # both start at 1/a > 0 and gain factors x/denom > 0
             break
     return total * math.exp(-x + a * math.log(x) - math.lgamma(a))
 
 
 def _upper_gamma_cf(a: float, x: float) -> float:
     """Regularized upper incomplete gamma Q(a, x) for x >= a + 1 (Lentz)."""
+    log_prefactor = -x + a * math.log(x) - math.lgamma(a)
+    if log_prefactor < -745.0:  # underflows exp(); tail is numerically zero
+        return 0.0
+    # -t < v < t stands for abs(v) < t: equal for every float, NaN too
+    tiny, neg_tiny, eps, neg_eps = _TINY, -_TINY, _EPS, -_EPS
     b = x + 1.0 - a
-    c = 1.0 / _TINY
+    c = 1.0 / tiny
     d = 1.0 / b
     h = d
     for i in range(1, _MAX_ITER):
         an = -i * (i - a)
         b += 2.0
         d = an * d + b
-        if abs(d) < _TINY:
-            d = _TINY
+        if neg_tiny < d < tiny:
+            d = tiny
         c = b + an / c
-        if abs(c) < _TINY:
-            c = _TINY
+        if neg_tiny < c < tiny:
+            c = tiny
         d = 1.0 / d
         delta = d * c
         h *= delta
-        if abs(delta - 1.0) < _EPS:
+        if neg_eps < delta - 1.0 < eps:
             break
-    log_prefactor = -x + a * math.log(x) - math.lgamma(a)
-    if log_prefactor < -745.0:  # underflows exp(); tail is numerically zero
-        return 0.0
     return math.exp(log_prefactor) * h
+
+
+def _upper_gamma(a: float, x: float) -> float:
+    """Q(a, x) for checked float arguments ``a > 0``, ``x >= 0``."""
+    if x == 0.0:
+        return 1.0
+    q = 1.0 - _lower_gamma_series(a, x) if x < a + 1.0 else _upper_gamma_cf(a, x)
+    return min(1.0, max(0.0, q))
 
 
 def regularized_upper_gamma(a: float, x: float) -> float:
     """Q(a, x) = Gamma(a, x) / Gamma(a), clamped into [0, 1]."""
-    if not (math.isfinite(a) and math.isfinite(x)):
-        raise ValueError("non-finite argument to regularized_upper_gamma")
-    if a <= 0.0 or x < 0.0:
-        raise ValueError(f"invalid arguments a={a}, x={x}")
-    if x == 0.0:
-        return 1.0
-    if x < a + 1.0:
-        q = 1.0 - _lower_gamma_series(a, x)
-    else:
-        q = _upper_gamma_cf(a, x)
-    return min(1.0, max(0.0, q))
+    check_range("a", a, lambda v: 0.0 < v < math.inf, "finite and > 0")
+    check_range("x", x, lambda v: 0.0 <= v < math.inf, "finite and >= 0")
+    return _upper_gamma(float(a), float(x))
 
 
 def chi_square_p_value(chi2: float, dof: int) -> float:
     """Upper-tail probability P(X >= chi2) for X chi-square with dof d.o.f."""
-    if not math.isfinite(chi2):
-        raise ValueError(f"non-finite chi2: {chi2}")
-    if chi2 < 0.0:
-        raise ValueError(f"chi2 must be >= 0, got {chi2}")
-    if dof < 1:
-        raise ValueError(f"dof must be >= 1, got {dof}")
-    return regularized_upper_gamma(dof / 2.0, chi2 / 2.0)
+    check_range("chi2", chi2, lambda v: 0.0 <= v < math.inf, "finite and >= 0")
+    check_integer("dof", dof, 1)
+    return _upper_gamma(dof / 2.0, float(chi2) / 2.0)
 
 
 def is_independent(
@@ -190,15 +185,17 @@ def is_independent(
     observed = _joint_counts(a, b)  # checks the sizes, for a single bin too
     if not a.testable or not b.testable:
         return IndependenceVerdict(0.0, 0, 1.0, True, True)
-    row = a.bin_counts.astype(np.float64)
-    col = b.bin_counts.astype(np.float64)
-    expected = np.outer(row, col) / a.n_points
+    expected = np.multiply.outer(a.bin_counts, b.bin_counts, dtype=np.float64)
+    expected /= a.n_points
     least = expected.min()
     if least == 0.0:
         raise ValueError("contingency table has a zero expected cell")
-    chi2 = _exact_sum(((observed - expected) ** 2 / expected).ravel())
+    cells = observed - expected
+    cells *= cells
+    cells /= expected
+    chi2 = _exact_sum(cells.ravel())
     dof = (a.n_bins - 1) * (b.n_bins - 1)
-    p = chi_square_p_value(chi2, dof)
+    p = _upper_gamma(dof / 2.0, chi2 / 2.0)  # both valid by construction
     return IndependenceVerdict(
         chi2=chi2,
         dof=dof,

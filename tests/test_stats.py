@@ -10,8 +10,9 @@ from helpers import (
     float_table_mutual_information,
     fsum_contingency,
     fsum_is_independent,
+    scalar_p_value,
 )
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from pfa import stats
@@ -165,6 +166,61 @@ class TestPValue:
             chi_square_p_value(-1.0, 1)
         with pytest.raises(ValueError):
             chi_square_p_value(1.0, 0)
+
+    @pytest.mark.parametrize(
+        "chi2, dof, name",
+        [
+            (3.841458820694124, True, "dof"),
+            (True, 1, "chi2"),
+            (3.84, 1.5, "dof"),
+            ("3", 1, "chi2"),
+            (3.0, "1", "dof"),
+            (math.inf, 1, "chi2"),
+            (1.0, -1, "dof"),
+        ],
+    )
+    def test_refuses_bools_non_numbers_and_non_integer_dof(self, chi2, dof, name):
+        with pytest.raises(ValueError, match=f"^{name} must be"):
+            chi_square_p_value(chi2, dof)
+
+    @pytest.mark.parametrize(
+        "a, x, name",
+        [
+            (True, 2.0, "a"),
+            (2.0, False, "x"),
+            ("1", 2.0, "a"),
+            (1.0, None, "x"),
+            (0.0, 1.0, "a"),
+            (1.0, -1.0, "x"),
+            (math.nan, 1.0, "a"),
+            (1.0, math.inf, "x"),
+        ],
+    )
+    def test_gamma_refuses_bad_arguments(self, a, x, name):
+        with pytest.raises(ValueError, match=f"^{name} must be"):
+            regularized_upper_gamma(a, x)
+
+    def test_accepts_numpy_scalars(self):
+        assert chi_square_p_value(np.float64(7.5), np.int64(4)) == chi_square_p_value(7.5, 4)
+        assert regularized_upper_gamma(np.float64(2.0), 3) == regularized_upper_gamma(2.0, 3.0)
+
+    @given(
+        dof=st.integers(1, 4000),
+        # 1 puts x = chi2 / 2 at a + 1, the split between series and fraction;
+        # past about 3 the continued fraction's prefactor underflows for most dof
+        factor=st.one_of(st.just(1.0), st.floats(0.0, 3.0), st.floats(3.0, 2000.0)),
+        steps=st.integers(-3, 3),
+    )
+    @example(dof=1, factor=1000.0, steps=0)  # x = 1500: exp(-x...) underflows
+    @example(dof=4000, factor=10.0, steps=0)
+    @example(dof=361, factor=1.0, steps=-1)  # just below the split
+    @settings(max_examples=300, deadline=None)
+    def test_p_value_bits_equal_the_scalar_oracle(self, dof, factor, steps):
+        chi2 = (dof + 2) * factor
+        for _ in range(abs(steps)):
+            chi2 = math.nextafter(chi2, math.copysign(math.inf, steps))
+        chi2 = max(chi2, 0.0)
+        assert chi_square_p_value(chi2, dof).hex() == scalar_p_value(chi2, dof).hex()
 
 
 class TestIsIndependent:
@@ -383,7 +439,7 @@ def random_magnitudes(rng, size, low_exp, high_exp):
 class TestExactSum:
     """``stats._exact_sum`` equals ``math.fsum`` bit for bit."""
 
-    SIZES = [0, 1, 2, stats._FSUM_MAX_CELLS - 1, stats._FSUM_MAX_CELLS, 2025, 6000]
+    SIZES = [0, 1, 2, 699, 700, 2025, 6000]
 
     @pytest.mark.parametrize("size", SIZES)
     @pytest.mark.parametrize("seed", range(4))
@@ -423,16 +479,60 @@ class TestExactSum:
     )
     def test_rounds_the_exact_sum_once(self, terms, total):
         # adding in float order rounds 1 + 2**-53 to 1 before the last term
-        values = np.zeros(2 * stats._FSUM_MAX_CELLS)
+        values = np.zeros(1400)
         values[: len(terms)] = terms
         assert stats._exact_sum(values) == math.fsum(values.tolist()) == total
+
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        size=st.integers(0, 6000),
+        low=st.integers(-340, 260),
+        span=st.integers(0, 40),
+        zeros=st.floats(0.0, 1.0),
+        subnormals=st.floats(0.0, 0.3),
+        midpoint=st.none() | st.tuples(st.floats(1e-300, 1e300), st.integers(-3, 3)),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_equals_fsum(self, seed, size, low, span, zeros, subnormals, midpoint):
+        rng = np.random.default_rng(seed)
+        values = rng.choice([-1.0, 1.0], size) * 10.0 ** rng.uniform(low, low + span, size)
+        values[rng.random(size) < zeros] = 0.0
+        tiny = rng.random(size) < subnormals
+        values[tiny] = rng.integers(-(2**52), 2**52, tiny.sum()) * 5e-324
+        if midpoint is not None:
+            # cancelling pairs leave m + ulp(m) / 2, a rounding midpoint, plus
+            # a few ulps of that half-gap
+            m, ulps = midpoint
+            half = math.ulp(m) / 2
+            pairs = values[: max(size - 3, 0) // 2]
+            values = np.concatenate([pairs, -pairs, [m, half, ulps * math.ulp(half)]])
+            values = values[rng.permutation(values.size)]
+        assert stats._exact_sum(values).hex() == math.fsum(values.tolist()).hex()
+
+    def test_fallback_runs_only_when_uncertified(self, monkeypatch):
+        # 1 + 2**-53 is the midpoint of 1 and the next float: no certificate
+        tie = np.zeros(1400)
+        tie[:2] = [1.0, 2.0**-53]
+        rng = np.random.default_rng(7)
+        a, b = random_feature(rng, 90_000, 45), random_feature(rng, 90_000, 45, 0.3)
+        observed, expected = stats._joint_counts(a, b), expected_counts(a, b)
+        cells = ((observed - expected) ** 2 / expected).ravel()
+        fsum = math.fsum
+        total = fsum(cells.tolist())
+        calls = []
+        monkeypatch.setattr(math, "fsum", lambda terms: calls.append(len(terms)) or fsum(terms))
+        assert stats._exact_sum(tie) == 1.0
+        assert calls == [1400]
+        assert cells.size == 2025
+        assert stats._exact_sum(cells) == total
+        assert calls == [1400]
 
     def test_chi_square_cells(self):
         rng = np.random.default_rng(7)
         a, b = random_feature(rng, 90_000, 45), random_feature(rng, 90_000, 45, 0.3)
         observed, expected = stats._joint_counts(a, b), expected_counts(a, b)
         cells = ((observed - expected) ** 2 / expected).ravel()
-        assert cells.size >= stats._FSUM_MAX_CELLS
+        assert cells.size == 45 * 45
         assert chi2(a, b) == math.fsum(cells.tolist())
 
 
