@@ -73,12 +73,13 @@ def _exact_sum(values: np.ndarray) -> float:
     With sigma a power of two of at least (n + 2) * max|x|, the high parts
     q = (sigma + x) - sigma are multiples of ulp(sigma) / 2, so their float
     sum tau is exact in any order, and the remainders x - q are exact and at
-    most ulp(sigma) / 2; their float sum s errs by under n**2 * 2**-52 *
-    ulp(sigma) / 2.  r = tau + s is the rounded exact sum when that bound
-    plus TwoSum's residual of the addition stays below half the gap from r
-    to its nearer neighbour.  Otherwise, and for no terms, zeros only, a
-    non-finite term or a sigma past the float range or small enough for the
-    bound to underflow, ``math.fsum`` decides.
+    most ulp(sigma) / 2; below 2**26 terms their float sum s errs by under
+    n**2 * 2**-52 * ulp(sigma) / 2 (past that, this bound exceeds every gap).
+    r = tau + s is the rounded exact sum when that bound plus TwoSum's
+    residual of the addition stays below half the gap from r to its nearer
+    neighbour.  Otherwise, and for no terms, zeros only, a non-finite term
+    or a sigma past the float range or small enough for the bound to
+    underflow, ``math.fsum`` decides.
     """
     n = values.size
     scale = (n + 2) * float(np.maximum.reduce(np.abs(values), initial=0.0))
@@ -99,7 +100,6 @@ def _exact_sum(values: np.ndarray) -> float:
 
 def _lower_gamma_series(a: float, x: float) -> float:
     """Regularized lower incomplete gamma P(a, x) for x < a + 1."""
-    eps = _EPS
     term = 1.0 / a
     total = term
     denom = a
@@ -107,7 +107,7 @@ def _lower_gamma_series(a: float, x: float) -> float:
         denom += 1.0
         term *= x / denom
         total += term
-        if term < total * eps:  # both start at 1/a > 0 and gain factors x/denom > 0
+        if term < total * _EPS:  # both start at 1/a > 0 and gain factors x/denom > 0
             break
     return total * math.exp(-x + a * math.log(x) - math.lgamma(a))
 
