@@ -26,12 +26,14 @@ def check_integer(name: str, value, least: int | None) -> None:
     """Raise ValueError unless value is an integer (``operator.index``) >= least.
 
     ``least=None`` takes any integer.  A ``bool`` is refused, although
-    ``operator.index`` takes it.
+    ``operator.index`` takes it, and so is an integer past the float range,
+    which float arithmetic on it (a chi-square ``dof``, say) would overflow.
     """
     try:
         index = operator.index(value)
         valid = not isinstance(value, bool) and (least is None or index >= least)
-    except TypeError:
+        float(index)  # OverflowError past the float range
+    except (TypeError, OverflowError):
         valid = False
     if not valid:
         bound = "" if least is None else f" >= {least}"
@@ -41,13 +43,18 @@ def check_integer(name: str, value, least: int | None) -> None:
 def check_range(name: str, value, within, bounds: str) -> None:
     """Raise ValueError unless ``within(value)``, naming the bounds.
 
-    A ``bool`` is refused, and so is a value that ``within`` cannot compare
-    (a ``TypeError``).  NaN fails every comparison, so a ``within`` made of
-    comparisons refuses it.
+    A ``bool`` is refused, and so is an array with an axis, whose
+    comparisons give arrays.  So is a value that ``within`` cannot compare
+    or convert: a ``TypeError``, or an ``ArithmeticError`` such as a
+    ``Decimal`` NaN's signal or the overflow of ``math.isfinite`` on an
+    integer past the float range.  NaN fails every comparison, so a
+    ``within`` made of comparisons refuses it.
     """
     try:
-        valid = not isinstance(value, bool) and within(value)
-    except TypeError:
+        valid = (
+            not isinstance(value, bool) and not getattr(value, "ndim", 0) and within(value)
+        )
+    except (TypeError, ArithmeticError):
         valid = False
     if not valid:
         raise ValueError(f"{name} must be {bounds}, got {value}")
@@ -83,26 +90,8 @@ class Dataset:
         return self.values.shape[0]
 
     @property
-    def n_features(self) -> int:
-        return self.n_rows - self.n_outputs
-
-    @property
     def n_points(self) -> int:
         return self.values.shape[1]
-
-    def row(self, variable_id: int) -> np.ndarray:
-        """Values of a variable by its 1-based row index."""
-        if not 1 <= variable_id <= self.n_rows:
-            raise ValueError(f"variable id {variable_id} out of range 1..{self.n_rows}")
-        return self.values[variable_id - 1]
-
-    @property
-    def output_ids(self) -> range:
-        return range(1, self.n_outputs + 1)
-
-    @property
-    def feature_ids(self) -> range:
-        return range(self.n_outputs + 1, self.n_rows + 1)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, Dataset):

@@ -82,9 +82,6 @@ class Graph:
     def n_nodes(self) -> int:
         return len(self.nodes)
 
-    def edges(self) -> list[tuple[int, int]]:
-        return [(u, v) for u in self.nodes for v in sorted(self.adjacency[u]) if u < v]
-
     def degree(self, node: int) -> int:
         return len(self.adjacency[node])
 

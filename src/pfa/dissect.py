@@ -46,14 +46,6 @@ class DissectionResult:
     complete_subgraphs: tuple[frozenset[int], ...]
     removals: tuple[Removal, ...]
 
-    @property
-    def surviving_nodes(self) -> frozenset[int]:
-        return frozenset().union(*self.complete_subgraphs)
-
-    @property
-    def removed_nodes(self) -> frozenset[int]:
-        return frozenset().union(*(r.nodes for r in self.removals))
-
 
 def _residual_masks(g: Graph, order: dict[int, int]) -> list[int]:
     """Positive-residual out-arcs of the zero flow, one bitmask per split node.

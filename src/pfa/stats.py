@@ -150,14 +150,14 @@ def _upper_gamma(a: float, x: float) -> float:
 
 def regularized_upper_gamma(a: float, x: float) -> float:
     """Q(a, x) = Gamma(a, x) / Gamma(a), clamped into [0, 1]."""
-    check_range("a", a, lambda v: 0.0 < v < math.inf, "finite and > 0")
-    check_range("x", x, lambda v: 0.0 <= v < math.inf, "finite and >= 0")
+    check_range("a", a, lambda v: v > 0.0 and math.isfinite(v), "finite and > 0")
+    check_range("x", x, lambda v: v >= 0.0 and math.isfinite(v), "finite and >= 0")
     return _upper_gamma(float(a), float(x))
 
 
 def chi_square_p_value(chi2: float, dof: int) -> float:
     """Upper-tail probability P(X >= chi2) for X chi-square with dof d.o.f."""
-    check_range("chi2", chi2, lambda v: 0.0 <= v < math.inf, "finite and >= 0")
+    check_range("chi2", chi2, lambda v: v >= 0.0 and math.isfinite(v), "finite and >= 0")
     check_integer("dof", dof, 1)
     return _upper_gamma(dof / 2.0, float(chi2) / 2.0)
 

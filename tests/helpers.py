@@ -32,6 +32,16 @@ def random_graph(n: int, p_edge: float, seed: int) -> Graph:
     return Graph.from_edges(nodes, edges)
 
 
+def edges(g: Graph) -> list[tuple[int, int]]:
+    """The graph's edges as ``(u, v)`` with ``u < v``, in ascending order."""
+    return [(u, v) for u in g.nodes for v in sorted(g.adjacency[u]) if u < v]
+
+
+def feature_ids(ds: Dataset) -> range:
+    """The 1-based row ids of the dataset's features, after its outputs."""
+    return range(ds.n_outputs + 1, ds.n_rows + 1)
+
+
 def brute_force_min_node_cut(g: Graph) -> frozenset[int]:
     """Oracle: enumerate subsets by ascending cardinality, lexicographic order."""
     if g.n_nodes > BRUTE_FORCE_NODE_LIMIT:
@@ -55,8 +65,8 @@ def brute_force_min_node_cut(g: Graph) -> frozenset[int]:
 
 def assert_dissection_invariants(g: Graph, result: DissectionResult) -> None:
     """Check every structural guarantee a dissection must satisfy."""
-    survivors = result.surviving_nodes
-    removed = result.removed_nodes
+    survivors = frozenset().union(*result.complete_subgraphs)
+    removed = frozenset().union(*(r.nodes for r in result.removals))
 
     # partition: disjoint complete subgraphs plus removed nodes cover g
     assert survivors | removed == set(g.nodes)
@@ -72,7 +82,7 @@ def assert_dissection_invariants(g: Graph, result: DissectionResult) -> None:
     for index, subgraph in enumerate(result.complete_subgraphs):
         for node in subgraph:
             membership[node] = index
-    for u, v in g.edges():
+    for u, v in edges(g):
         if u in membership and v in membership:
             assert membership[u] == membership[v], f"edge {u}-{v} crosses subgraphs"
 

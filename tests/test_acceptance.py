@@ -15,6 +15,7 @@ from helpers import (
     assert_cut_minimality,
     assert_dissection_invariants,
     brute_force_min_node_cut,
+    feature_ids,
 )
 from pfa.analysis import (
     PfaConfig,
@@ -91,7 +92,7 @@ def test_criterion_2_example2_non_commutation():
         disc = discretize_all(ds, cfg.nu)
         cache = IndependenceCache({i + 1: d for i, d in enumerate(disc)}, cfg.alpha)
         related = [
-            f for f in ds.feature_ids if not cache.verdict(1, f).independent
+            f for f in feature_ids(ds) if not cache.verdict(1, f).independent
         ]
         assert related == [2, 4]  # {x1, x3}
         filtered_graph = build_graph(cache, related)
@@ -105,7 +106,7 @@ def test_criterion_3_example3_non_uniqueness():
         ds = generate(SynthSpec("example3", 5000, seed=42))
         disc = discretize_all(ds, 100)
         cache = IndependenceCache({i + 1: d for i, d in enumerate(disc)}, 0.01)
-        g = build_graph(cache, ds.feature_ids)
+        g = build_graph(cache, feature_ids(ds))
         a = dissect(g, tie_seed=0)
         b = dissect(g, tie_seed=3)
         removed_a = [frozenset(r.nodes) for r in a.removals]
@@ -211,7 +212,7 @@ def test_criterion_8_batching_equivalence():
             cache = IndependenceCache(
                 {i + 1: d for i, d in enumerate(disc)}, cfg.alpha
             )
-            nodes = [i for i in ds.feature_ids if disc[i - 1].testable]
+            nodes = [i for i in feature_ids(ds) if disc[i - 1].testable]
             direct = dissect(build_graph(cache, nodes))
             assert sorted(batched.principal_subgraphs, key=min) == sorted(
                 direct.complete_subgraphs, key=min

@@ -60,10 +60,15 @@ class TestPfaConfig:
             {"nu": 10, "theta": "x"},
             {"nu": 10, "alpha": "x"},
             {"nu": 10, "alpha": None},
+            {"nu": 10, "alpha": Decimal("NaN")},
+            {"nu": 10, "theta": Decimal("NaN")},
+            {"nu": 10, "theta": 10**400},
+            {"nu": 10, "alpha": np.array([0.01])},
         ],
     )
     def test_rejects_bad_values(self, kwargs):
-        with pytest.raises(ValueError):
+        # the message names the last argument, the one out of range
+        with pytest.raises(ValueError, match=f"^{list(kwargs)[-1]} must be"):
             PfaConfig(**kwargs)
 
     @pytest.mark.parametrize(
@@ -77,6 +82,13 @@ class TestPfaConfig:
 
     def test_accepts_a_decimal_alpha(self):
         assert PfaConfig(nu=10, alpha=Decimal("0.01")).alpha == Decimal("0.01")
+
+    @pytest.mark.parametrize(
+        "kwargs", [{"alpha": np.float64(0.01)}, {"alpha": np.array(0.01)}, {"theta": 1}]
+    )
+    def test_accepts_numpy_scalars_and_an_integer_theta(self, kwargs):
+        cfg = PfaConfig(nu=10, **kwargs)
+        assert all(getattr(cfg, name) is value for name, value in kwargs.items())
 
     def test_accepts_a_negative_tie_seed(self):
         assert PfaConfig(nu=10, tie_seed=-1).tie_seed == -1

@@ -1,4 +1,5 @@
 import warnings
+from decimal import Decimal
 
 import numpy as np
 import pytest
@@ -28,12 +29,12 @@ class TestLoadCsv:
         ds = load_csv(write(tmp_path, "1,0\n3.5,2.0\n"), n_outputs=1)
         assert ds.n_points == 2
         assert ds.n_outputs == 1
-        assert ds.n_features == 1
+        assert ds.n_rows - ds.n_outputs == 1
         assert ds.values[1, 0] == 3.5
 
     def test_single_row_no_outputs(self, tmp_path):
         ds = load_csv(write(tmp_path, "1.0,2.0,3.0\n"), n_outputs=0)
-        assert ds.n_features == 1
+        assert ds.n_rows - ds.n_outputs == 1
         assert ds.n_outputs == 0
 
     def test_ragged_rows_rejected(self, tmp_path):
@@ -246,7 +247,9 @@ class TestSubsample:
         assert np.array_equal(subsample(ds, fraction, seed).values, ds.values[:, expected])
 
     def test_column_picker_checks_fraction(self):
-        for fraction in (0.0, -0.5, 1.5, float("nan"), True, False, "x", None):
+        for fraction in (
+            0.0, -0.5, 1.5, float("nan"), True, False, "x", None, Decimal("sNaN"), np.array([0.5])
+        ):
             with pytest.raises(ValueError, match="fraction must be in"):
                 subsample_columns(10, fraction, seed=0)
         with pytest.raises(ValueError, match="selects no columns"):
@@ -284,7 +287,8 @@ class TestDatasetValidation:
             Dataset(np.ones((2, 3)), n_outputs=n_outputs)
 
     def test_accepts_a_numpy_integer_n_outputs(self):
-        assert Dataset(np.ones((2, 3)), n_outputs=np.int64(1)).n_features == 1
+        ds = Dataset(np.ones((2, 3)), n_outputs=np.int64(1))
+        assert ds.n_rows - ds.n_outputs == 1
 
     def test_equal_datasets_hash_equal(self):
         a = Dataset(np.ones((2, 3)), 1)
@@ -293,9 +297,3 @@ class TestDatasetValidation:
         assert a != Dataset(np.ones((2, 3)), 0)
         assert a != Dataset(np.zeros((2, 3)), 1)
         assert len({a, same, Dataset(np.zeros((2, 3)), 1)}) == 2
-
-    def test_row_access_is_one_based(self):
-        ds = Dataset(np.array([[1.0, 2.0], [3.0, 4.0]]), n_outputs=1)
-        assert list(ds.row(1)) == [1.0, 2.0]
-        assert list(ds.output_ids) == [1]
-        assert list(ds.feature_ids) == [2]

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from helpers import edges, feature_ids
 
 from pfa.binning import discretize_all
 from pfa.dataset import Dataset
@@ -31,7 +32,7 @@ class TestGraph:
     def test_induced_subgraph(self):
         g = Graph.from_edges([1, 2, 3, 4], [(1, 2), (2, 3), (3, 4)])
         sub = g.induced({1, 2, 4})
-        assert sub.edges() == [(1, 2)]
+        assert edges(sub) == [(1, 2)]
 
     def test_equality_includes_the_edges(self):
         g = Graph.from_edges([1, 2, 3], [(1, 2)])
@@ -57,7 +58,7 @@ class TestIsComplete:
         ds = generate(SynthSpec("example2", 5000, seed=42))
         cache = make_cache(ds)
         # features not independent of the output y (row 1): x1 and x3
-        related = [f for f in ds.feature_ids if not cache.verdict(1, f).independent]
+        related = [f for f in feature_ids(ds) if not cache.verdict(1, f).independent]
         assert related == [2, 4]
         assert is_complete(build_graph(cache, related))
 
@@ -85,19 +86,19 @@ class TestBuildGraph:
         ds = generate(SynthSpec("example1", 1000, seed=0))
         cache = make_cache(ds)
         g = build_graph(cache, [1])
-        assert g.edges() == []
+        assert edges(g) == []
 
     def test_example1_reference_edges(self):
         ds = generate(SynthSpec("example1", 5000, seed=42))
         cache = make_cache(ds)
         g = build_graph(cache, range(1, 6))
-        assert g.edges() == [(1, 4), (1, 5), (2, 4), (2, 5), (3, 4), (4, 5)]
+        assert edges(g) == [(1, 4), (1, 5), (2, 4), (2, 5), (3, 4), (4, 5)]
 
     def test_independent_uniforms_give_empty_graph(self):
         rng = np.random.default_rng(11)  # recorded reference seed
         ds = Dataset(rng.uniform(0, 5, (3, 5000)), n_outputs=0)
         cache = make_cache(ds)
-        assert build_graph(cache, [1, 2, 3]).edges() == []
+        assert edges(build_graph(cache, [1, 2, 3])) == []
 
     def test_constant_node_rejected(self):
         ds = Dataset(np.vstack([np.ones(50), np.arange(50.0)]), n_outputs=0)
@@ -118,15 +119,15 @@ class TestBuildGraph:
         forward = build_graph(make_cache(ds), [1, 2, 3, 4, 5])
         backward = build_graph(make_cache(ds), [5, 4, 3, 2, 1])
         assert forward.nodes == backward.nodes
-        assert forward.edges() == backward.edges()
+        assert edges(forward) == edges(backward)
 
     def test_edges_match_pairwise_verdicts(self):
         ds = generate(SynthSpec("example3", 2000, seed=3))
         disc = discretize_all(ds, 100)
         cache = IndependenceCache({i + 1: d for i, d in enumerate(disc)}, 0.01)
-        g = build_graph(cache, ds.feature_ids)
-        for i in ds.feature_ids:
-            for j in ds.feature_ids:
+        g = build_graph(cache, feature_ids(ds))
+        for i in feature_ids(ds):
+            for j in feature_ids(ds):
                 if i < j:
                     verdict = is_independent(disc[i - 1], disc[j - 1], 0.01)
                     assert g.has_edge(i, j) == (not verdict.independent)
@@ -166,4 +167,4 @@ class TestBuildGraph:
         ds = generate(SynthSpec("example1", 3000, seed=4))
         first = build_graph(make_cache(ds), range(1, 6))
         second = build_graph(make_cache(ds), range(1, 6))
-        assert first.edges() == second.edges()
+        assert edges(first) == edges(second)

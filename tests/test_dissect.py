@@ -11,6 +11,7 @@ from helpers import (
     assert_cut_minimality,
     assert_dissection_invariants,
     brute_force_min_node_cut,
+    edges,
     random_graph,
 )
 from pfa.depgraph import Graph, is_complete, is_connected
@@ -100,7 +101,7 @@ class TestOracleEquivalence:
         for g in connected_incomplete_graphs():
             flow_cut = min_node_cut(g)
             oracle_cut = brute_force_min_node_cut(g)
-            assert len(flow_cut) == len(oracle_cut), f"graph {g.edges()}"
+            assert len(flow_cut) == len(oracle_cut), f"graph {edges(g)}"
             remaining = g.induced(set(g.nodes) - flow_cut)
             assert not is_connected(remaining)
 
@@ -118,7 +119,7 @@ class TestOracleEquivalence:
 def to_networkx(g):
     nxg = nx.Graph()
     nxg.add_nodes_from(g.nodes)
-    nxg.add_edges_from(g.edges())
+    nxg.add_edges_from(edges(g))
     return nxg
 
 
@@ -228,7 +229,8 @@ class TestDissect:
             result = dissect(g)
             assert_dissection_invariants(g, result)
             total_removed = sum(len(r.nodes) for r in result.removals)
-            assert total_removed + len(result.surviving_nodes) == g.n_nodes
+            total_surviving = sum(len(s) for s in result.complete_subgraphs)
+            assert total_removed + total_surviving == g.n_nodes
 
     @given(seed=st.integers(0, 10_000))
     @settings(max_examples=100, deadline=None)

@@ -2,16 +2,20 @@
 the verdict cache; a rename of either fails here, not only in a benchmark run.
 """
 
+import ast
+import functools
 import importlib.util
 import sys
 from pathlib import Path
 
+import pfa
 import pfa.cli  # noqa: F401  (the tracer patches every layer, cli included)
 from pfa.analysis import PfaConfig, analyze
 from pfa.depgraph import IndependenceCache
 from pfa.synth import SynthSpec, generate
 
 TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
+PERFBENCH = TRACING.parent
 
 
 def load_tracing():
@@ -56,3 +60,29 @@ def test_tracer_counts_the_cache_tests_and_restores_every_binding():
     assert metrics["analysis.filter_by_mi_s"] > 0.0
     i, j = next(iter(cache.verdicts))
     assert cache.cached(j, i) is cache.verdicts[(i, j)]
+
+
+def pfa_chains(tree) -> set[str]:
+    """Every ``pfa.<name>...`` attribute chain in a module, its prefixes too."""
+    chains = set()
+    for node in ast.walk(tree):
+        names = []
+        while isinstance(node, ast.Attribute):
+            names.append(node.attr)
+            node = node.value
+        if names and isinstance(node, ast.Name) and node.id == "pfa":
+            chains.add(".".join(["pfa", *reversed(names)]))
+    return chains
+
+
+def test_every_name_the_benchmark_reads_from_the_package_resolves():
+    chains = set().union(*(pfa_chains(ast.parse(p.read_text())) for p in PERFBENCH.glob("*.py")))
+    assert {"pfa.subsample", "pfa.analysis._partition", "pfa.depgraph.IndependenceCache"} <= chains
+    for chain in sorted(chains):
+        functools.reduce(getattr, chain.split(".")[1:], pfa)  # AttributeError names it
+    # the workloads and run.py read the cache of a result
+    for attr in ("cached", "test_calls", "verdict"):
+        assert hasattr(IndependenceCache, attr), attr
+    assert pfa.__all__ == sorted(set(pfa.__all__))
+    for name in pfa.__all__:
+        getattr(pfa, name)

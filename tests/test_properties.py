@@ -6,6 +6,7 @@ draws, not only for the pinned examples of the other modules.
 """
 
 import math
+from dataclasses import replace
 from itertools import combinations
 from unittest import mock
 
@@ -13,13 +14,14 @@ import numpy as np
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from pfa.analysis import PfaConfig, analyze, explain_feature, robust_intersection
+from pfa.analysis import PfaConfig, analyze, explain_feature, robust_intersection, run_pfa
 from pfa.dataset import Dataset
 from pfa.depgraph import IndependenceCache
 from pfa.stats import is_independent
 from pfa.synth import SynthSpec, generate, random_dag
 
 PROPERTY_SETTINGS = settings(max_examples=30, deadline=None, derandomize=True)
+ALPHAS = [1e-2, 1e-3, 1e-6]
 
 
 @st.composite
@@ -35,7 +37,7 @@ def pipeline_inputs(draw):
     ds = Dataset(values, n_outputs=draw(st.integers(0, 1)))
     cfg = PfaConfig(
         nu=draw(st.integers(math.ceil(math.sqrt(5 * n)), n // 4)),
-        alpha=draw(st.sampled_from([1e-2, 1e-3, 1e-6])),
+        alpha=draw(st.sampled_from(ALPHAS)),
         ns=draw(st.integers(2, 20)),
     )
     return ds, cfg
@@ -157,3 +159,20 @@ class TestPipelineProperties:
 
         relevant = [s for s in result.principal_subgraphs if any(map(depends, s))]
         assert result.relevant_features == frozenset().union(*relevant)
+
+    @given(inputs=pipeline_inputs(), data=st.data())
+    @PROPERTY_SETTINGS
+    def test_alpha_only_decides(self, inputs, data):
+        # chi2, dof, p_value and guard_ok are facts of the pair; alpha only
+        # turns p_value into the verdict, though the pairs tested may differ
+        ds, cfg = inputs
+        other = data.draw(st.sampled_from([a for a in ALPHAS if a != cfg.alpha]), label="alpha")
+        runs = [run_pfa(ds, cfg), run_pfa(ds, replace(cfg, alpha=other))]
+        first, second = (run.cache.verdicts for run in runs)
+        for pair in first.keys() & second.keys():
+            a, b = first[pair], second[pair]
+            assert (a.chi2.hex(), a.dof, a.p_value.hex(), a.guard_ok) == (
+                b.chi2.hex(), b.dof, b.p_value.hex(), b.guard_ok
+            ), f"pair {pair}"
+        for run, alpha in zip(runs, (cfg.alpha, other)):
+            assert all(v.independent == (v.p_value >= alpha) for v in run.cache.verdicts.values())

@@ -177,6 +177,9 @@ class TestPValue:
             (3.0, "1", "dof"),
             (math.inf, 1, "chi2"),
             (1.0, -1, "dof"),
+            (Decimal("NaN"), 1, "chi2"),
+            pytest.param(1.0, 10**400, "dof", id="dof-past-the-float-range"),
+            pytest.param(10**400, 1, "chi2", id="chi2-past-the-float-range"),
         ],
     )
     def test_refuses_bools_non_numbers_and_non_integer_dof(self, chi2, dof, name):
@@ -194,6 +197,8 @@ class TestPValue:
             (1.0, -1.0, "x"),
             (math.nan, 1.0, "a"),
             (1.0, math.inf, "x"),
+            pytest.param(10**400, 1.0, "a", id="a-past-the-float-range"),
+            pytest.param(1.0, 10**400, "x", id="x-past-the-float-range"),
         ],
     )
     def test_gamma_refuses_bad_arguments(self, a, x, name):
@@ -274,7 +279,9 @@ class TestIsIndependent:
         for alpha in (0.001, 0.05, 0.5, 0.99):
             assert is_independent(const, other, alpha=alpha).independent
 
-    @pytest.mark.parametrize("alpha", [0.0, 1.0, float("nan"), True, "x", None])
+    @pytest.mark.parametrize(
+        "alpha", [0.0, 1.0, float("nan"), True, "x", None, Decimal("NaN"), np.array([0.01])]
+    )
     def test_rejects_bad_alpha(self, alpha):
         half = feature([0] * 5 + [1] * 5)
         with pytest.raises(ValueError, match=r"alpha must be in \(0, 1\)"):

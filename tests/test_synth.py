@@ -1,14 +1,14 @@
 import numpy as np
 import pytest
 
-from helpers import random_graph
+from helpers import edges, random_graph
 from pfa.synth import DagSpec, SynthSpec, generate, random_dag
 
 
 class TestScenarios:
     def test_example1_shape(self):
         ds = generate(SynthSpec("example1", 5000, seed=42))
-        assert ds.n_features == 5
+        assert ds.n_rows - ds.n_outputs == 5
         assert ds.n_outputs == 0
         assert ds.n_points == 5000
 
@@ -21,7 +21,7 @@ class TestScenarios:
     def test_example2_binary_output(self):
         ds = generate(SynthSpec("example2", 1000, seed=0))
         assert ds.n_outputs == 1
-        assert ds.n_features == 3
+        assert ds.n_rows - ds.n_outputs == 3
         y, x1, x2, x3 = ds.values
         assert set(np.unique(y)) <= {0.0, 1.0}
         assert np.array_equal(x3, x1 * x2)
@@ -133,16 +133,16 @@ class TestCustomDag:
 class TestRandomGraph:
     def test_full_probability_is_complete(self):
         g = random_graph(5, 1.0, seed=0)
-        assert len(g.edges()) == 10
+        assert len(edges(g)) == 10
 
     def test_zero_probability_is_empty(self):
-        assert random_graph(5, 0.0, seed=0).edges() == []
+        assert edges(random_graph(5, 0.0, seed=0)) == []
 
     def test_seed_determinism(self):
         a = random_graph(10, 0.4, seed=5)
         b = random_graph(10, 0.4, seed=5)
-        assert a.edges() == b.edges()
+        assert edges(a) == edges(b)
 
     def test_seed_sweep_gives_variety(self):
-        edge_counts = {len(random_graph(10, 0.4, seed=s).edges()) for s in range(20)}
+        edge_counts = {len(edges(random_graph(10, 0.4, seed=s))) for s in range(20)}
         assert len(edge_counts) > 3
