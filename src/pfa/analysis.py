@@ -6,10 +6,9 @@ sublist's dependency graph, and repeats on the survivors until a pass
 holds them all in a single sublist: that pass is the final dissection, and
 it comes next after any pass of several sublists that removes nothing.
 All pairwise verdicts live in one shared cache, so no pair is ever tested
-twice.  ``analyze`` chains the driver with the relevance and MI filters;
-``robust_intersection`` repeats that chain on subsamples.  It enters below
-the binning step: it ranks each row once, bins every subsample from those
-ranks, and hands the binned rows to the same driver and filters.
+twice.  ``analyze`` chains the driver with the relevance and MI filters,
+and ``analyze_binned`` does so on binned rows.  ``robust_intersection`` ranks
+each row once, and ``robust_ranked`` bins each subsample from those ranks.
 """
 
 from __future__ import annotations
@@ -19,7 +18,7 @@ import random
 from dataclasses import dataclass, field, replace
 
 from .binning import DiscretizedFeature, discretize_all, discretize_ranks, rank_rows
-from .dataset import Dataset, check_integer, check_range, subsample_columns
+from .dataset import Dataset, check_integer, check_n_outputs, check_range, subsample_columns
 from .depgraph import IndependenceCache, build_graph
 from .dissect import Removal, dissect
 from .stats import MIN_EXPECTED, guard_failures, mutual_information
@@ -227,8 +226,8 @@ def filter_by_mi(result: PfaResult, theta: float) -> PfaResult:
     return replace(result, mi_scores=scores, theta_selected=frozenset(selected))
 
 
-def _check_theta(ds: Dataset, cfg: PfaConfig) -> None:
-    if cfg.theta is not None and ds.n_outputs < 1:
+def _check_theta(n_outputs: int, cfg: PfaConfig) -> None:
+    if cfg.theta is not None and n_outputs < 1:
         raise ValueError("theta needs at least one output row")
 
 
@@ -247,8 +246,16 @@ def analyze(ds: Dataset, cfg: PfaConfig) -> PfaResult:
     threshold when ``cfg.theta`` is set; ``selected_features()`` of the
     result is the final selection.
     """
-    _check_theta(ds, cfg)
+    _check_theta(ds.n_outputs, cfg)
     return _filter(run_pfa(ds, cfg), cfg)
+
+
+def analyze_binned(disc_rows: list[DiscretizedFeature], n_outputs: int, cfg: PfaConfig):
+    """``analyze`` on rows already binned by ``discretize``, outputs first."""
+    check_n_outputs(n_outputs, len(disc_rows))
+    _check_theta(n_outputs, cfg)
+    _check_nu(cfg.nu, disc_rows[0].n_points)
+    return _filter(_run_binned(disc_rows, n_outputs, cfg), cfg)
 
 
 def explain_feature(result: PfaResult, target: int) -> frozenset[int]:
@@ -280,19 +287,27 @@ def robust_intersection(
     valid raise ``ValueError`` before anything is ranked; an error inside
     a run propagates as raised.
     """
-    check_integer("runs", runs, 1)
-    _check_theta(ds, cfg)
-    # every sample has one size, so run 0's columns settle fraction and nu
-    keep = subsample_columns(ds.n_points, fraction, cfg.seed)
-    _check_nu(cfg.nu, keep.size)
-    ranks = rank_rows(ds.values)
+    _check_robust(ds.n_rows, ds.n_outputs, ds.n_points, cfg, runs, fraction)
+    return robust_ranked(rank_rows(ds.values), ds.n_outputs, cfg, runs, fraction)
+
+
+def robust_ranked(ranks, n_outputs: int, cfg: PfaConfig, runs: int, fraction: float):
+    """``robust_intersection`` on rows already ranked by ``rank_rows``, outputs first."""
+    n_points = len(ranks[0])
+    _check_robust(len(ranks), n_outputs, n_points, cfg, runs, fraction)
     results = []
     for seed in range(cfg.seed, cfg.seed + runs):
-        if seed != cfg.seed:
-            keep = subsample_columns(ds.n_points, fraction, seed)
+        keep = subsample_columns(n_points, fraction, seed)
         disc_rows = [discretize_ranks(row[keep], cfg.nu) for row in ranks]
-        results.append(
-            _filter(_run_binned(disc_rows, ds.n_outputs, replace(cfg, seed=seed)), cfg)
-        )
+        results.append(analyze_binned(disc_rows, n_outputs, replace(cfg, seed=seed)))
     common = frozenset.intersection(*(r.selected_features() for r in results))
     return common, results
+
+
+def _check_robust(n_rows, n_outputs, n_points, cfg, runs, fraction) -> None:
+    """Refuse the arguments that no subsample can make valid."""
+    check_integer("runs", runs, 1)
+    check_n_outputs(n_outputs, n_rows)
+    _check_theta(n_outputs, cfg)
+    # every sample has one size, so run 0's columns settle fraction and nu
+    _check_nu(cfg.nu, subsample_columns(n_points, fraction, cfg.seed).size)

@@ -1,11 +1,12 @@
-"""Command-line front end: ingest -> ``analysis.analyze`` -> reports.
+"""Command-line front end: CSV rows -> binned or ranked rows -> analysis -> reports.
 
 ``run`` analyzes the whole input once; ``robust`` analyzes random
-subsamples and intersects their selections.  Both build their
-``PfaConfig`` from flags whose names and defaults are the config's fields.
-Every command is batch and deterministic: identical flags produce
-byte-identical output files.  Timings go to stderr only, so they never
-perturb the written artifacts.
+subsamples and intersects their selections.  Neither builds the float
+matrix: ``run`` bins and ``robust`` ranks each row of ``dataset.read_rows``
+as it arrives.  Both build their ``PfaConfig`` from flags whose names and
+defaults are the config's fields.  Every command is batch and deterministic:
+identical flags produce byte-identical output files.  Timings go to stderr
+only, so they never perturb the written artifacts.
 
 Outputs of ``run`` and ``robust``:
   <out>.features.txt   selected 1-based row indices, ascending, one per line
@@ -27,7 +28,7 @@ from dataclasses import fields, is_dataclass
 from operator import attrgetter
 from typing import get_type_hints
 
-from . import analysis, dataset, synth
+from . import analysis, binning, dataset, synth
 from .stats import IndependenceVerdict
 
 #: rows of ``graph.tests`` formatted per write
@@ -178,9 +179,9 @@ def _log_warnings(results) -> None:
 
 def cmd_run(args) -> int:
     cfg = _build_config(args)
-    ds = dataset.load_csv(args.input, args.n_outputs)
+    disc_rows = [binning.discretize(row, cfg.nu) for row in dataset.read_rows(args.input)]
     started = time.perf_counter()
-    result = analysis.analyze(ds, cfg)
+    result = analysis.analyze_binned(disc_rows, args.n_outputs, cfg)
     _log(f"pfa: analysis in {time.perf_counter() - started:.2f}s")
     report = {
         "config": _config_echo(cfg, args),
@@ -198,9 +199,9 @@ def cmd_robust(args) -> int:
     if not 0.0 < args.fraction <= 1.0:
         raise ValueError(f"--fraction must be in (0, 1], got {args.fraction}")
     cfg = _build_config(args)
-    ds = dataset.load_csv(args.input, args.n_outputs)
+    ranks = [binning.rank_rows(row[None])[0] for row in dataset.read_rows(args.input)]
     started = time.perf_counter()
-    common, results = analysis.robust_intersection(ds, cfg, args.runs, args.fraction)
+    common, results = analysis.robust_ranked(ranks, args.n_outputs, cfg, args.runs, args.fraction)
     _log(f"pfa: {args.runs} runs in {time.perf_counter() - started:.2f}s")
     report = {
         "config": _config_echo(cfg, args, runs=args.runs, fraction=args.fraction),

@@ -5,14 +5,16 @@ one data point and each row one variable.  By convention the first
 ``n_outputs`` rows are output variables (row 1 = first output, the next row
 = first feature).  The accompanying text of the original data layout labels
 row 1 "the input function"; context makes clear it is the output, and this
-module treats it as such.
+module treats it as such.  ``read_rows`` parses that layout a row at a time.
 """
 
 from __future__ import annotations
 
 import csv
+import itertools
 import operator
 import warnings
+from collections.abc import Iterator
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -37,7 +39,18 @@ def check_integer(name: str, value, least: int | None) -> None:
         valid = False
     if not valid:
         bound = "" if least is None else f" >= {least}"
-        raise ValueError(f"{name} must be an integer{bound}, got {value!r}")
+        raise ValueError(f"{name} must be an integer{bound}, got {_shown(value, repr)}")
+
+
+def _shown(value, show) -> str:
+    """``show(value)``, but an integer past the float range by that fact, not by its
+    digits, which past 4,300 of them ``str`` refuses to print."""
+    if isinstance(value, int):
+        try:
+            float(value)
+        except OverflowError:
+            return "an integer past the float range"
+    return show(value)
 
 
 def check_range(name: str, value, within, bounds: str) -> None:
@@ -57,7 +70,16 @@ def check_range(name: str, value, within, bounds: str) -> None:
     except (TypeError, ArithmeticError):
         valid = False
     if not valid:
-        raise ValueError(f"{name} must be {bounds}, got {value}")
+        raise ValueError(f"{name} must be {bounds}, got {_shown(value, str)}")
+
+
+def check_n_outputs(n_outputs, n_rows: int) -> None:
+    """Raise ValueError unless ``n_outputs`` is an integer >= 0 below ``n_rows``."""
+    check_integer("n_outputs", n_outputs, 0)
+    if n_outputs >= n_rows:
+        raise ValueError(
+            f"n_outputs={n_outputs} leaves no feature rows (dataset has {n_rows} rows)"
+        )
 
 
 @dataclass(frozen=True)
@@ -73,13 +95,9 @@ class Dataset:
             raise ValueError("values must be a 2-d matrix")
         if values.shape[1] < 1:
             raise ValueError("dataset needs at least one data point")
-        check_integer("n_outputs", self.n_outputs, 0)
-        if self.n_outputs >= values.shape[0]:
-            raise ValueError(
-                f"n_outputs={self.n_outputs} leaves no feature rows "
-                f"(dataset has {values.shape[0]} rows)"
-            )
-        if not np.all(np.isfinite(values)):
+        check_n_outputs(self.n_outputs, values.shape[0])
+        # NaN propagates through min and max, and they make no full-size temporary
+        if not (np.isfinite(values.min()) and np.isfinite(values.max())):
             raise ValueError("dataset contains non-finite entries")
         # only a valid matrix is frozen: a refused one may be the caller's own
         values.setflags(write=False)
@@ -104,86 +122,91 @@ class Dataset:
 def load_csv(path, n_outputs: int = 1) -> Dataset:
     """Read a dataset from the headerless variables-by-points CSV layout.
 
-    Cells are parsed as 64-bit floats.  Rejects empty files, and ragged
-    rows, blank lines and non-numeric or non-finite cells with their row
-    (and column): each row left to right, a ragged row before its cells.
-
-    The file is first parsed whole by ``np.loadtxt``, which reads a number
-    the way ``float()`` does but refuses a ``_`` digit separator.  Its
-    result is kept only when it is certain to equal the per-cell parser's:
-    the parse succeeded without a warning, the file has no blank line, and
-    every value is finite.  Any other file, whether malformed or merely
-    unusual (quoted cells, non-ASCII digits), is read again by the per-cell
-    parser, which accepts it or reports the first bad cell.
+    The rows come from ``read_rows``, which names the first bad cell.  The
+    matrix grows by an eighth at a time, so beside the parse of one line the
+    call holds at most about 1.125 times the matrix.
     """
-    values = _load_whole_rows(path)
-    if values is None:
-        values = _load_cells(path)
+    values = np.empty((0, 0))
+    for n_rows, row in enumerate(read_rows(path)):
+        if n_rows == len(values):
+            # a realloc, not a second matrix to copy into
+            values.resize((n_rows + n_rows // 8 + 1, row.size), refcheck=False)
+        values[n_rows] = row
+    values.resize((n_rows + 1, row.size), refcheck=False)
     return Dataset(values, n_outputs)
 
 
-def _nonblank_lines(fh):
-    """The file's lines; a blank one, which ``np.loadtxt`` skips, raises."""
-    for line in fh:
-        if not line.strip():
-            raise DatasetError("blank line")
-        yield line
+def read_rows(path) -> Iterator[np.ndarray]:
+    """Each row of a headerless CSV file as 64-bit floats, in file order.
+
+    Rejects an empty file, and ragged rows, blank lines and non-numeric or
+    non-finite cells with their row (and column): each row left to right, a
+    ragged row before its cells.  Each line is parsed by ``np.loadtxt``,
+    which reads a number as ``float()`` does but refuses a ``_``; from the
+    first line whose values might differ from the per-cell parser's (see
+    ``_numpy_row``), such as one with a quoted cell or a non-ASCII digit,
+    the per-cell parser reads the rest of the file.
+    """
+    with open(path, newline="", encoding="utf-8") as fh:
+        n_rows = width = 0
+        for line in fh:
+            row = _numpy_row(line, width)
+            if row is None:
+                yield from _cell_rows(itertools.chain([line], fh), n_rows, width)
+                return
+            n_rows, width = n_rows + 1, row.size
+            yield row
+    if not n_rows:
+        raise DatasetError(f"empty dataset file: {path}")
 
 
-def _load_whole_rows(path) -> np.ndarray | None:
-    """The file's matrix by numpy's row parser, or None to parse it per cell."""
-    with open(path, newline="", encoding="utf-8") as fh, warnings.catch_warnings():
-        # loadtxt warns (and returns an empty array) on a file without data
+def _numpy_row(line: str, width: int) -> np.ndarray | None:
+    """The line's values by ``np.loadtxt``, or None to parse it per cell.
+
+    None unless they are certain to be the per-cell parser's: the line is not
+    blank, parses without a warning, and is finite and ``width`` wide (if set).
+    """
+    if not line.strip():  # loadtxt skips a blank line
+        return None
+    with warnings.catch_warnings():
         warnings.simplefilter("error")
         try:
-            values = np.loadtxt(
-                _nonblank_lines(fh),
-                delimiter=",",
-                dtype=np.float64,
-                ndmin=2,
-                comments=None,
-            )
-        except (ValueError, Warning, DatasetError):
+            row = np.loadtxt([line], delimiter=",", dtype=np.float64, ndmin=1, comments=None)
+        except (ValueError, Warning):
             return None
-    if values.size == 0 or not np.isfinite(values).all():
+    if row.ndim != 1 or (width and row.size != width) or not np.isfinite(row).all():
         return None
-    return values
+    return row
 
 
-def _load_cells(path) -> np.ndarray:
-    """Parse cell by cell with ``float()``; raises on the first bad cell.
+def _cell_rows(lines, n_read: int, width: int) -> Iterator[np.ndarray]:
+    """Parse ``lines``, which follow ``n_read`` rows of ``width`` cells, with ``float()``.
 
-    A ``_`` makes a cell non-numeric: ``float()`` would read ``1_0`` as 10.0.
+    Raises on the first bad cell.  A ``_`` makes a cell non-numeric:
+    ``float()`` would read ``1_0`` as 10.0.
     """
-    rows: list[list[float]] = []
-    with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        for row_no, record in enumerate(reader, start=1):
-            if not record:
-                raise DatasetError(f"blank line at row {row_no}")
-            if rows and len(record) != len(rows[0]):
+    for row_no, record in enumerate(csv.reader(lines), start=n_read + 1):
+        if not record:
+            raise DatasetError(f"blank line at row {row_no}")
+        if width and len(record) != width:
+            raise DatasetError(f"row {row_no} has {len(record)} columns, expected {width}")
+        parsed = []
+        for col_no, cell in enumerate(record, start=1):
+            try:
+                if "_" in cell:
+                    raise ValueError(cell)
+                value = float(cell)
+            except ValueError:
                 raise DatasetError(
-                    f"row {row_no} has {len(record)} columns, expected {len(rows[0])}"
+                    f"non-numeric cell {cell!r} at row {row_no}, column {col_no}"
+                ) from None
+            if not np.isfinite(value):
+                raise DatasetError(
+                    f"non-finite cell {cell!r} at row {row_no}, column {col_no}"
                 )
-            parsed = []
-            for col_no, cell in enumerate(record, start=1):
-                try:
-                    if "_" in cell:
-                        raise ValueError(cell)
-                    value = float(cell)
-                except ValueError:
-                    raise DatasetError(
-                        f"non-numeric cell {cell!r} at row {row_no}, column {col_no}"
-                    ) from None
-                if not np.isfinite(value):
-                    raise DatasetError(
-                        f"non-finite cell {cell!r} at row {row_no}, column {col_no}"
-                    )
-                parsed.append(value)
-            rows.append(parsed)
-    if not rows:
-        raise DatasetError(f"empty dataset file: {path}")
-    return np.array(rows, dtype=np.float64)
+            parsed.append(value)
+        width = len(parsed)
+        yield np.array(parsed, dtype=np.float64)
 
 
 def save_csv(ds: Dataset, path) -> None:

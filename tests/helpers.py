@@ -169,6 +169,47 @@ def per_cell_load_csv(path, n_outputs: int = 1) -> Dataset:
     return Dataset(np.array(rows, dtype=np.float64), n_outputs)
 
 
+# Inputs on which load_csv, `pfa run` and `pfa robust` must agree with the
+# per-cell parser: the same values, or the same DatasetError message.
+# Several are accepted by np.loadtxt but rejected per cell (blank lines,
+# non-finite values), or the other way round (quoted cells, non-ASCII digits).
+DIFFERENTIAL_INPUTS = {
+    "blank_line_in_middle": "1,2\n\n3,4\n",
+    "blank_line_at_end": "1,2\n\n",
+    "only_newline": "\n",
+    "empty_file": "",
+    "nan": "1,nan\n",
+    "infinity": "1,Infinity\n",
+    "overflow": "1,1e400\n",
+    "digit_separator": "1,1_0\n",
+    "bad_cell_before_separator": "1,x\n1,1_0\n",
+    "ragged_row": "1,2,3\n4,5\n",
+    "trailing_comma": "1,2,\n3,4,\n",
+    "space_only": " \n",
+    "two_numbers_in_a_cell": "1 2,3\n",
+    "quoted_cell": '"1",2\n',
+    "arabic_indic_digit": "\u0661,2\n",
+    "tab_padded_cell": "\t1.5\t,2\n",
+    "plus_point_five": "+.5,2\n",
+    "subnormal": "2e-320,1\n",
+    "crlf_endings": "1,2\r\n3,4\r\n",
+    "cr_endings": "1,2\r3,4\r",
+    "single_row": "1,2,3\n",
+    "single_column": "1\n2\n3\n",
+    "blank_first_line": "\n1,2\n3,4\n",
+    "bad_cell_before_separator_in_one_row": "x,1_0\n",
+    "separator_in_ragged_row": "1,2\n3_0,4,5\n",
+    "quoted_separator": '"1_0",2\n',
+    # an odd line after plain ones: the per-cell parser takes over there
+    "bad_cell_in_last_row": "1,2\n3,4\n5,x\n",
+    "non_finite_cell_in_last_row": "1,2\n3,4\n5,-inf\n",
+    "ragged_last_row": "1,2\n3,4\n5\n",
+    "blank_line_after_plain_rows": "1,2\n3,4\n\n5,6\n",
+    "quoted_cell_after_plain_rows": '1,2\n3,4\n"5",6\n',
+    "arabic_indic_digit_after_plain_rows": "1,2\n3,4\n\u0665,6\n",
+}
+
+
 def per_value_csv_text(values) -> str:
     """Oracle for the bytes ``save_csv`` writes: ``repr(float(v))`` per value."""
     return "".join(",".join(repr(float(v)) for v in row) + "\n" for row in values)

@@ -64,12 +64,21 @@ class TestPfaConfig:
             {"nu": 10, "theta": Decimal("NaN")},
             {"nu": 10, "theta": 10**400},
             {"nu": 10, "alpha": np.array([0.01])},
+            {"nu": 10**400},
+            {"nu": 10**5000},
+            {"nu": 10, "theta": 10**5000},
+            {"nu": 10, "alpha": 10**5000},
+            {"nu": 10, "tie_seed": -(10**5000)},
         ],
     )
     def test_rejects_bad_values(self, kwargs):
         # the message names the last argument, the one out of range
-        with pytest.raises(ValueError, match=f"^{list(kwargs)[-1]} must be"):
+        with pytest.raises(ValueError, match=f"^{list(kwargs)[-1]} must be") as raised:
             PfaConfig(**kwargs)
+        # an integer past the float range is named so, not by its digits,
+        # which past 4,300 of them Python refuses to print
+        if isinstance(value := list(kwargs.values())[-1], int) and abs(value) > 10**308:
+            assert str(raised.value).endswith(", got an integer past the float range")
 
     @pytest.mark.parametrize(
         "theta,message",

@@ -4,18 +4,24 @@ import io
 import json
 import math
 import re
+import tracemalloc
 from unittest import mock
 
 import numpy as np
 import pytest
-from helpers import reference_robust_report, reference_run_report
+from helpers import (
+    DIFFERENTIAL_INPUTS,
+    per_cell_load_csv,
+    reference_robust_report,
+    reference_run_report,
+)
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import pfa.cli
 from pfa.analysis import PfaConfig, analyze, robust_intersection
 from pfa.cli import main
-from pfa.dataset import Dataset, load_csv, save_csv
+from pfa.dataset import Dataset, DatasetError, load_csv, save_csv
 from pfa.stats import IndependenceVerdict
 from pfa.synth import SynthSpec, generate
 
@@ -469,6 +475,130 @@ class TestRobustCommand:
                 assert entry, f"pfa {command} {flag} has no description"
                 assert not entry.group(1).startswith("-"), entry.group(1)
                 assert entry.group(2) == default
+
+
+def without_timings(err: str) -> str:
+    return re.sub(r" in \d+\.\d+s$", " in <time>", err, flags=re.MULTILINE)
+
+
+class TestIngest:
+    """``run`` and ``robust`` read their input as ``load_csv`` does, row by row."""
+
+    @pytest.mark.parametrize("command", ["run", "robust"])
+    @pytest.mark.parametrize("text", DIFFERENTIAL_INPUTS.values(), ids=DIFFERENTIAL_INPUTS)
+    def test_same_outputs_or_same_error_as_the_per_cell_parser(
+        self, command, text, tmp_path, monkeypatch, capsys
+    ):
+        odd, plain = tmp_path / "odd", tmp_path / "plain"
+        odd.mkdir()
+        plain.mkdir()
+        (odd / "data.csv").write_bytes(text.encode("utf-8"))
+        monkeypatch.chdir(odd)
+        try:
+            expected = per_cell_load_csv("data.csv", n_outputs=0)
+        except DatasetError as exc:
+            expected = exc
+        argv = [command, "--input", "data.csv", "--n-outputs", "0", "--nu", "1", "--out", "out"]
+        if isinstance(expected, DatasetError):
+            assert run_cli(*argv) == 1
+            assert capsys.readouterr().err == f"pfa: error: {expected}\n"
+            assert [p.name for p in odd.iterdir()] == ["data.csv"]
+            return
+        # an accepted file runs as the per-cell parser's values written plainly
+        save_csv(expected, plain / "data.csv")
+        outcomes = []
+        for where in (odd, plain):
+            monkeypatch.chdir(where)
+            code = run_cli(*argv)
+            written = {p.name: p.read_bytes() for p in where.iterdir() if p.name != "data.csv"}
+            outcomes.append((code, without_timings(capsys.readouterr().err), written))
+        assert outcomes[0] == outcomes[1]
+
+    @pytest.mark.parametrize("command", ["run", "robust"])
+    @pytest.mark.parametrize(
+        "flags", [("--nu", "3"), ("--n-outputs", "2")], ids=["nu_above_half", "no_features"]
+    )
+    def test_a_bad_last_row_wins_over_checks_of_the_whole(
+        self, command, flags, tmp_path, capsys
+    ):
+        # nu=3 leaves 4 points a single bin, and two outputs leave no feature
+        path = tmp_path / "data.csv"
+        path.write_text("1,2,3,4\n5,6,7,x\n")
+        argv = [command, "--input", str(path), "--n-outputs", "0", "--nu", "1"]
+        code = run_cli(*argv, *flags, "--out", str(tmp_path / "out"))
+        assert code == 1
+        assert capsys.readouterr().err == (
+            "pfa: error: non-numeric cell 'x' at row 2, column 4\n"
+        )
+        assert list(tmp_path.glob("out*")) == []
+
+    @pytest.mark.parametrize("command", ["run", "robust"])
+    def test_outputs_leaving_no_feature_refused_after_the_last_row(
+        self, command, tmp_path, capsys
+    ):
+        path = tmp_path / "data.csv"
+        path.write_text("1,2,3,4\n5,6,7,8\n")
+        code = run_cli(
+            command, "--input", str(path), "--n-outputs", "2", "--nu", "1",
+            "--out", str(tmp_path / "out"),
+        )
+        assert code == 1
+        assert capsys.readouterr().err == (
+            "pfa: error: n_outputs=2 leaves no feature rows (dataset has 2 rows)\n"
+        )
+        assert list(tmp_path.glob("out*")) == []
+
+
+@pytest.fixture(scope="module")
+def many_points_csv(tmp_path_factory):
+    """40 rows of 25,000 points, whose float matrix takes 8 MB.
+
+    One-digit cells keep the parse of a line (np.loadtxt copies it at four
+    bytes a character) small beside what is held per cell, which these
+    tests measure.
+    """
+    values = np.random.default_rng(0).integers(0, 10, size=(40, 25_000))
+    path = tmp_path_factory.mktemp("data") / "many_points.csv"
+    path.write_text("".join(",".join(map(str, row)) + "\n" for row in values.tolist()))
+    return path, values.size * np.dtype(np.float64).itemsize
+
+
+def traced_peak(call):
+    """``call()``'s result and the most memory tracemalloc saw it hold."""
+    tracemalloc.start()
+    try:
+        return call(), tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+class TestHeldPerCell:
+    """``run`` holds a bin code per input cell, ``robust`` a rank, ``load_csv`` a float."""
+
+    def test_run_stays_below_half_the_float_matrix(self, many_points_csv, tmp_path):
+        path, matrix_bytes = many_points_csv
+        code, peak = traced_peak(lambda: run_cli(
+            "run", "--input", str(path), "--n-outputs", "1", "--nu", "1000",
+            "--out", str(tmp_path / "out"),
+        ))
+        assert code == 0
+        assert peak < matrix_bytes / 2
+
+    def test_robust_stays_below_the_float_matrix(self, many_points_csv, tmp_path):
+        # the ranks take half the matrix, and each run keeps its codes
+        path, matrix_bytes = many_points_csv
+        code, peak = traced_peak(lambda: run_cli(
+            "robust", "--input", str(path), "--n-outputs", "1", "--nu", "1000",
+            "--runs", "2", "--out", str(tmp_path / "out"),
+        ))
+        assert code == 0
+        assert peak < matrix_bytes
+
+    def test_load_csv_holds_little_beside_its_matrix(self, many_points_csv):
+        path, matrix_bytes = many_points_csv
+        ds, peak = traced_peak(lambda: load_csv(path, n_outputs=1))
+        assert ds.values.nbytes == matrix_bytes
+        assert peak <= 1.25 * matrix_bytes
 
 
 class TestReportShape:

@@ -1,12 +1,14 @@
+import contextlib
 import warnings
 from decimal import Decimal
 
 import numpy as np
 import pytest
-from helpers import per_cell_load_csv, per_value_csv_text
+from helpers import DIFFERENTIAL_INPUTS, per_cell_load_csv, per_value_csv_text
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import pfa.dataset
 from pfa.dataset import (
     Dataset,
     DatasetError,
@@ -87,40 +89,6 @@ class TestLoadCsv:
             load_csv(tmp_path / "nope.csv")
 
 
-# Inputs on which load_csv must agree with the per-cell parser: the same
-# values, or the same DatasetError message.  Several are accepted by
-# np.loadtxt but rejected per cell (blank lines, non-finite values), or the
-# other way round (quoted cells, non-ASCII digits).
-DIFFERENTIAL_INPUTS = {
-    "blank_line_in_middle": "1,2\n\n3,4\n",
-    "blank_line_at_end": "1,2\n\n",
-    "only_newline": "\n",
-    "empty_file": "",
-    "nan": "1,nan\n",
-    "infinity": "1,Infinity\n",
-    "overflow": "1,1e400\n",
-    "digit_separator": "1,1_0\n",
-    "bad_cell_before_separator": "1,x\n1,1_0\n",
-    "ragged_row": "1,2,3\n4,5\n",
-    "trailing_comma": "1,2,\n3,4,\n",
-    "space_only": " \n",
-    "two_numbers_in_a_cell": "1 2,3\n",
-    "quoted_cell": '"1",2\n',
-    "arabic_indic_digit": "\u0661,2\n",
-    "tab_padded_cell": "\t1.5\t,2\n",
-    "plus_point_five": "+.5,2\n",
-    "subnormal": "2e-320,1\n",
-    "crlf_endings": "1,2\r\n3,4\r\n",
-    "cr_endings": "1,2\r3,4\r",
-    "single_row": "1,2,3\n",
-    "single_column": "1\n2\n3\n",
-    "blank_first_line": "\n1,2\n3,4\n",
-    "bad_cell_before_separator_in_one_row": "x,1_0\n",
-    "separator_in_ragged_row": "1,2\n3_0,4,5\n",
-    "quoted_separator": '"1_0",2\n',
-}
-
-
 class TestLoadCsvMatchesPerCellParser:
     @pytest.mark.parametrize("text", DIFFERENTIAL_INPUTS.values(), ids=DIFFERENTIAL_INPUTS)
     def test_same_values_or_same_error(self, tmp_path, text):
@@ -145,14 +113,35 @@ class TestLoadCsvMatchesPerCellParser:
         assert caught == [], "a warning of the fast path leaked"
 
     def test_plain_file_is_not_parsed_per_cell(self, tmp_path, monkeypatch):
-        def per_cell(path):
+        def per_cell(lines, n_read, width):
             raise AssertionError("the per-cell parser ran on a plain file")
 
-        monkeypatch.setattr("pfa.dataset._load_cells", per_cell)
+        monkeypatch.setattr("pfa.dataset._cell_rows", per_cell)
         ds = generate(SynthSpec("example1", 200, seed=1))
         path = tmp_path / "ex1.csv"
         save_csv(ds, path)
         assert load_csv(path, n_outputs=0) == ds
+
+    @pytest.mark.parametrize(
+        "odd_line", ['"5",6\n', "\u0665,6\n", "5,6,7\n", "5,x\n", "\n", "5,nan\n"],
+        ids=["quoted", "arabic_indic", "ragged", "non_numeric", "blank", "nan"],
+    )
+    def test_per_cell_parser_takes_over_at_the_first_odd_line(
+        self, tmp_path, monkeypatch, odd_line
+    ):
+        handed_over = []
+        cell_rows = pfa.dataset._cell_rows
+
+        def spy(lines, n_read, width):
+            lines = list(lines)
+            handed_over.append((lines, n_read, width))
+            return cell_rows(lines, n_read, width)
+
+        monkeypatch.setattr("pfa.dataset._cell_rows", spy)
+        path = write(tmp_path, "1,2\n3,4\n" + odd_line + "7,8\n")
+        with contextlib.suppress(DatasetError):
+            load_csv(path, n_outputs=0)
+        assert handed_over == [([odd_line, "7,8\n"], 2, 2)]
 
 
 def random_finite_values(seed: int, shape=(7, 300)) -> np.ndarray:

@@ -176,3 +176,22 @@ class TestPipelineProperties:
             ), f"pair {pair}"
         for run, alpha in zip(runs, (cfg.alpha, other)):
             assert all(v.independent == (v.p_value >= alpha) for v in run.cache.verdicts.values())
+
+    @given(inputs=pipeline_inputs(), data=st.data())
+    @PROPERTY_SETTINGS
+    def test_alpha_splits_the_verdicts_at_an_observed_p_value(self, inputs, data):
+        # alpha drawn from (p, 2p) for a p-value of a first run puts that
+        # pair in [alpha / 2, alpha): dependent, however near the boundary
+        ds, cfg = inputs
+        first = run_pfa(ds, cfg).cache.verdicts
+        near = sorted((v.p_value, pair) for pair, v in first.items() if 1e-12 < v.p_value < 0.5)
+        assume(near)
+        p, (i, j) = data.draw(st.sampled_from(near), label="p-value")
+        alpha = data.draw(
+            st.floats(p, 2 * p, exclude_min=True, exclude_max=True), label="alpha"
+        )
+        result = run_pfa(ds, replace(cfg, alpha=alpha))
+        assert result.cache.verdict(i, j).independent is False
+        assert all(
+            v.independent == (v.p_value >= alpha) for v in result.cache.verdicts.values()
+        )

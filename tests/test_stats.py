@@ -51,6 +51,15 @@ def expected_counts(a, b):
     return np.outer(row, b.bin_counts.astype(np.float64)) / a.n_points
 
 
+def assert_huge_integer_not_printed(error: ValueError, value) -> None:
+    """An integer past the float range is named so, not by its digits.
+
+    Past 4,300 digits Python refuses to print them.
+    """
+    if isinstance(value, int) and abs(value) > 10**308:
+        assert str(error).endswith(", got an integer past the float range")
+
+
 class TestContingency:
     def test_identical_two_bin_variable(self):
         half = feature([0] * 50 + [1] * 50)
@@ -180,11 +189,14 @@ class TestPValue:
             (Decimal("NaN"), 1, "chi2"),
             pytest.param(1.0, 10**400, "dof", id="dof-past-the-float-range"),
             pytest.param(10**400, 1, "chi2", id="chi2-past-the-float-range"),
+            pytest.param(1.0, 10**5000, "dof", id="dof-past-the-digit-limit"),
+            pytest.param(10**5000, 1, "chi2", id="chi2-past-the-digit-limit"),
         ],
     )
     def test_refuses_bools_non_numbers_and_non_integer_dof(self, chi2, dof, name):
-        with pytest.raises(ValueError, match=f"^{name} must be"):
+        with pytest.raises(ValueError, match=f"^{name} must be") as raised:
             chi_square_p_value(chi2, dof)
+        assert_huge_integer_not_printed(raised.value, {"chi2": chi2, "dof": dof}[name])
 
     @pytest.mark.parametrize(
         "a, x, name",
@@ -199,11 +211,14 @@ class TestPValue:
             (1.0, math.inf, "x"),
             pytest.param(10**400, 1.0, "a", id="a-past-the-float-range"),
             pytest.param(1.0, 10**400, "x", id="x-past-the-float-range"),
+            pytest.param(10**5000, 1.0, "a", id="a-past-the-digit-limit"),
+            pytest.param(1.0, 10**5000, "x", id="x-past-the-digit-limit"),
         ],
     )
     def test_gamma_refuses_bad_arguments(self, a, x, name):
-        with pytest.raises(ValueError, match=f"^{name} must be"):
+        with pytest.raises(ValueError, match=f"^{name} must be") as raised:
             regularized_upper_gamma(a, x)
+        assert_huge_integer_not_printed(raised.value, {"a": a, "x": x}[name])
 
     def test_accepts_numpy_scalars(self):
         assert chi_square_p_value(np.float64(7.5), np.int64(4)) == chi_square_p_value(7.5, 4)
