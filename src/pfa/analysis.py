@@ -18,7 +18,14 @@ import random
 from dataclasses import dataclass, field, replace
 
 from .binning import DiscretizedFeature, discretize_all, discretize_ranks, rank_rows
-from .dataset import Dataset, check_integer, check_n_outputs, check_range, subsample_columns
+from .dataset import (
+    Dataset,
+    check_integer,
+    check_n_outputs,
+    check_range,
+    subsample_columns,
+    subsample_size,
+)
 from .depgraph import IndependenceCache, build_graph
 from .dissect import Removal, dissect
 from .stats import MIN_EXPECTED, guard_failures, mutual_information
@@ -309,5 +316,5 @@ def _check_robust(n_rows, n_outputs, n_points, cfg, runs, fraction) -> None:
     check_integer("runs", runs, 1)
     check_n_outputs(n_outputs, n_rows)
     _check_theta(n_outputs, cfg)
-    # every sample has one size, so run 0's columns settle fraction and nu
-    _check_nu(cfg.nu, subsample_columns(n_points, fraction, cfg.seed).size)
+    # every run's sample has this one size, so it settles fraction and nu
+    _check_nu(cfg.nu, subsample_size(n_points, fraction))

@@ -96,8 +96,7 @@ class Dataset:
         if values.shape[1] < 1:
             raise ValueError("dataset needs at least one data point")
         check_n_outputs(self.n_outputs, values.shape[0])
-        # NaN propagates through min and max, and they make no full-size temporary
-        if not (np.isfinite(values.min()) and np.isfinite(values.max())):
+        if not _all_finite(values):
             raise ValueError("dataset contains non-finite entries")
         # only a valid matrix is frozen: a refused one may be the caller's own
         values.setflags(write=False)
@@ -117,6 +116,23 @@ class Dataset:
         return self.n_outputs == other.n_outputs and np.array_equal(
             self.values, other.values
         )
+
+
+# elements per step of the finite check: its temporary is a bool per element
+_FINITE_BLOCK = 1 << 16
+
+
+def _all_finite(values: np.ndarray) -> bool:
+    """``np.isfinite(values).all()``, a block of elements at a time.
+
+    ``np.nditer`` cuts the array into blocks in memory order, whatever its
+    layout or shape, so the check holds one block's temporary and takes one
+    Python step per block, not per row.
+    """
+    blocks = np.nditer(
+        values, flags=["external_loop", "buffered"], buffersize=_FINITE_BLOCK, order="K"
+    )
+    return all(np.isfinite(block).all() for block in blocks)
 
 
 def load_csv(path, n_outputs: int = 1) -> Dataset:
@@ -145,9 +161,11 @@ def read_rows(path) -> Iterator[np.ndarray]:
     which reads a number as ``float()`` does but refuses a ``_``; from the
     first line whose values might differ from the per-cell parser's (see
     ``_numpy_row``), such as one with a quoted cell or a non-ASCII digit,
-    the per-cell parser reads the rest of the file.
+    the per-cell parser reads the rest of the file.  A UTF-8 byte-order
+    mark that starts the file, as spreadsheet programs write, is skipped;
+    anywhere else it is part of its cell.
     """
-    with open(path, newline="", encoding="utf-8") as fh:
+    with open(path, newline="", encoding="utf-8-sig") as fh:
         n_rows = width = 0
         for line in fh:
             row = _numpy_row(line, width)
@@ -217,11 +235,11 @@ def save_csv(ds: Dataset, path) -> None:
             fh.write("\n")
 
 
-def subsample_columns(n_points: int, fraction: float, seed: int) -> np.ndarray:
-    """Ascending indices of round(fraction * n_points) distinct columns.
+def subsample_size(n_points: int, fraction: float) -> int:
+    """round(fraction * n_points), the size of every subsample of ``fraction``.
 
-    Deterministic in (n_points, fraction, seed).  The one check of
-    ``fraction``, shared by ``subsample`` and ``robust_intersection``.
+    The one check of ``fraction``, shared by ``subsample`` and
+    ``robust_intersection``: it must be in (0, 1] and select a column.
     """
     check_range("fraction", fraction, lambda f: 0.0 < f <= 1.0, "in (0, 1]")
     size = int(round(fraction * n_points))
@@ -229,6 +247,15 @@ def subsample_columns(n_points: int, fraction: float, seed: int) -> np.ndarray:
         raise ValueError(
             f"fraction {fraction} of {n_points} points selects no columns"
         )
+    return size
+
+
+def subsample_columns(n_points: int, fraction: float, seed: int) -> np.ndarray:
+    """Ascending indices of ``subsample_size(n_points, fraction)`` distinct columns.
+
+    Deterministic in (n_points, fraction, seed).
+    """
+    size = subsample_size(n_points, fraction)
     rng = np.random.default_rng(seed)
     return np.sort(rng.choice(n_points, size=size, replace=False))
 

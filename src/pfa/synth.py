@@ -99,10 +99,16 @@ def generate(spec: SynthSpec) -> Dataset:
         y = (x1 + x2 * 10.0**-0.5 >= 4.0).astype(np.float64)
         return Dataset(np.vstack([y, x1, x2]), n_outputs=1)
 
+    # one matrix, each derived row multiplied in place: left to right, as
+    # np.prod of its parents' rows would, so the bytes are np.prod's
     dag = spec.dag
-    bases = _uniform_bases(rng, dag.n_base, n)
-    derived = [np.prod(bases[list(parents)], axis=0) for parents in dag.derived]
-    return Dataset(np.vstack([bases] + [d[None, :] for d in derived]), n_outputs=0)
+    values = np.empty((dag.n_base + len(dag.derived), n))
+    values[: dag.n_base] = _uniform_bases(rng, dag.n_base, n)
+    for row, (first, *rest) in zip(values[dag.n_base :], dag.derived):
+        row[:] = values[first]
+        for parent in rest:
+            np.multiply(row, values[parent], out=row)
+    return Dataset(values, n_outputs=0)
 
 
 def random_dag(n_base: int, n_derived: int, seed: int, max_parents: int = 3) -> DagSpec:

@@ -11,6 +11,7 @@ from pfa.dataset import Dataset, DatasetError
 from pfa.depgraph import Graph, connected_components, is_complete, is_connected
 from pfa.dissect import CompleteGraphError, DissectionResult
 from pfa.stats import IndependenceVerdict
+from pfa.synth import _uniform_bases
 
 BRUTE_FORCE_NODE_LIMIT = 14
 
@@ -131,15 +132,16 @@ def assert_cut_minimality(g: Graph, result: DissectionResult, max_size: int = 3)
 
 # --- oracles for the numpy fast paths of ingest, export and binning ------
 # Each is the implementation that preceded the fast path, kept verbatim but
-# for two later rules of the per-cell parser: it names a blank line at its own
-# row, and it refuses a ``_`` in the cell where it stands, so a row is checked
-# left to right and a ragged row is named before its cells.
+# for three later rules of the per-cell parser: it names a blank line at its own
+# row, it refuses a ``_`` in the cell where it stands, so a row is checked
+# left to right and a ragged row is named before its cells, and it skips a
+# byte-order mark that starts the file.
 
 
 def per_cell_load_csv(path, n_outputs: int = 1) -> Dataset:
     """Oracle for ``load_csv``: csv.reader and ``float()`` on every cell."""
     rows: list[list[float]] = []
-    with open(path, newline="", encoding="utf-8") as fh:
+    with open(path, newline="", encoding="utf-8-sig") as fh:
         reader = csv.reader(fh)
         for row_no, record in enumerate(reader, start=1):
             if not record:
@@ -207,6 +209,14 @@ DIFFERENTIAL_INPUTS = {
     "blank_line_after_plain_rows": "1,2\n3,4\n\n5,6\n",
     "quoted_cell_after_plain_rows": '1,2\n3,4\n"5",6\n',
     "arabic_indic_digit_after_plain_rows": "1,2\n3,4\n\u0665,6\n",
+    # a UTF-8 byte-order mark is skipped where it starts the file, and is
+    # part of its cell anywhere else
+    "byte_order_mark": "\ufeff1,2\n3,4\n",
+    "byte_order_mark_only": "\ufeff",
+    "byte_order_mark_before_a_blank_line": "\ufeff\n1,2\n",
+    "two_byte_order_marks": "\ufeff\ufeff1,2\n",
+    "byte_order_mark_in_a_later_cell": "\ufeff1,\ufeff2\n",
+    "byte_order_mark_after_plain_rows": "1,2\n\ufeff3,4\n",
 }
 
 
@@ -431,3 +441,19 @@ def reference_robust_report(config: dict, common, results) -> dict:
         "intersection": common,
         "runs": [_reference_result_json(result) for result in results],
     }
+
+
+# --- oracle for the synthetic matrix written in place ----------------------
+# The custom-DAG branch of ``generate`` that preceded it, kept verbatim but for
+# its name and its return of the matrix alone.
+
+
+def prod_vstack_values(spec) -> np.ndarray:
+    """Oracle for ``generate(spec).values`` of a custom DAG: ``np.prod`` of a
+    fancy-indexed copy of each derived row's parents, and one ``np.vstack``."""
+    rng = np.random.default_rng(spec.seed)
+    n = spec.n_points
+    dag = spec.dag
+    bases = _uniform_bases(rng, dag.n_base, n)
+    derived = [np.prod(bases[list(parents)], axis=0) for parents in dag.derived]
+    return np.vstack([bases] + [d[None, :] for d in derived])

@@ -18,7 +18,7 @@ from pfa.analysis import (
     robust_intersection,
     run_pfa,
 )
-from pfa.dataset import Dataset, subsample
+from pfa.dataset import Dataset, subsample, subsample_columns
 from pfa.stats import guard_failures
 from pfa.synth import DagSpec, SynthSpec, generate, random_dag
 
@@ -774,6 +774,19 @@ class TestRobustIntersection:
             robust_intersection(ds, PfaConfig(nu=50), 3, 0.9)
         assert info.value is cause
         assert calls == [0, 1]
+
+    def test_draws_each_runs_sample_once(self, monkeypatch):
+        # the argument checks size the sample without drawing one
+        ds = generate(SynthSpec("example1", 1000, seed=0))
+        seeds = []
+
+        def counted(n_points, fraction, seed):
+            seeds.append(seed)
+            return subsample_columns(n_points, fraction, seed)
+
+        monkeypatch.setattr("pfa.analysis.subsample_columns", counted)
+        robust_intersection(ds, PfaConfig(nu=50, seed=4), 3, 0.9)
+        assert seeds == [4, 5, 6]
 
     def test_theta_without_outputs_rejected_before_any_run(self, monkeypatch):
         # a config error is a ValueError raised before subsampling, not an

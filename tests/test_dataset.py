@@ -16,6 +16,7 @@ from pfa.dataset import (
     save_csv,
     subsample,
     subsample_columns,
+    subsample_size,
 )
 from pfa.synth import SynthSpec, generate
 
@@ -83,6 +84,16 @@ class TestLoadCsv:
         with pytest.raises(DatasetError) as raised:
             load_csv(write(tmp_path, text), n_outputs=0)
         assert str(raised.value) == message
+
+    def test_byte_order_mark_skipped_only_at_the_start(self, tmp_path):
+        # as spreadsheet programs save "CSV UTF-8"
+        path = tmp_path / "bom.csv"
+        path.write_bytes(b"\xef\xbb\xbf1.0,2\n3,4\n")
+        assert load_csv(path, n_outputs=0) == Dataset(np.array([[1.0, 2.0], [3.0, 4.0]]), 0)
+        path.write_bytes(b"1,2\n\xef\xbb\xbf3,4\n")
+        with pytest.raises(DatasetError) as raised:
+            load_csv(path, n_outputs=0)
+        assert str(raised.value) == "non-numeric cell '\\ufeff3' at row 2, column 1"
 
     def test_missing_file(self, tmp_path):
         with pytest.raises(OSError):
@@ -232,17 +243,23 @@ class TestSubsample:
             np.random.default_rng(seed).choice(n, size=int(round(fraction * n)), replace=False)
         )
         assert np.array_equal(subsample_columns(n, fraction, seed), expected)
+        assert subsample_size(n, fraction) == expected.size
         ds = Dataset(np.arange(2.0 * n).reshape(2, n), n_outputs=0)
         assert np.array_equal(subsample(ds, fraction, seed).values, ds.values[:, expected])
 
-    def test_column_picker_checks_fraction(self):
+    @pytest.mark.parametrize(
+        "pick",
+        [lambda n, fraction: subsample_columns(n, fraction, seed=0), subsample_size],
+        ids=["columns", "size"],
+    )
+    def test_column_picker_checks_fraction(self, pick):
         for fraction in (
             0.0, -0.5, 1.5, float("nan"), True, False, "x", None, Decimal("sNaN"), np.array([0.5])
         ):
             with pytest.raises(ValueError, match="fraction must be in"):
-                subsample_columns(10, fraction, seed=0)
-        with pytest.raises(ValueError, match="selects no columns"):
-            subsample_columns(10, 0.01, seed=0)
+                pick(10, fraction)
+        with pytest.raises(ValueError, match="fraction 0.01 of 10 points selects no columns"):
+            pick(10, 0.01)
 
     def test_no_duplicate_columns_and_order_preserved(self):
         ds = generate(SynthSpec("example1", 200, seed=5))
@@ -264,6 +281,31 @@ class TestDatasetValidation:
         with pytest.raises(ValueError, match="non-finite"):
             Dataset(a, 0)
         assert a.flags.writeable
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize(
+        "layout", ["c_order", "fortran_order", "one_row", "strided_view"]
+    )
+    def test_rejects_non_finite_in_every_block(self, layout, bad):
+        # two full blocks of the check and a partial one, in memory order
+        block = pfa.dataset._FINITE_BLOCK
+        shape, order = {
+            "c_order": ((3, block - 1), "C"),
+            "fortran_order": ((block - 1, 3), "F"),
+            "one_row": ((1, 2 * block + 5), "C"),
+            "strided_view": ((3, block - 1), "C"),
+        }[layout]
+        size = shape[0] * shape[1]
+        for position in (0, block - 1, block, 2 * block, size - 1):
+            if layout == "strided_view":
+                values = np.ones((shape[0], 2 * shape[1]))[:, ::2]
+            else:
+                values = np.ones(shape, order=order)
+            values[np.unravel_index(position, shape, order=order)] = bad
+            with pytest.raises(ValueError, match="^dataset contains non-finite entries$"):
+                Dataset(values, n_outputs=0)
+            values[np.unravel_index(position, shape, order=order)] = 1.0
+            assert Dataset(values, n_outputs=0).n_points == shape[1]
 
     def test_rejects_all_output_rows(self):
         with pytest.raises(ValueError):

@@ -1,7 +1,9 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
-from helpers import edges, random_graph
+from helpers import edges, prod_vstack_values, random_graph
 from pfa.synth import DagSpec, SynthSpec, generate, random_dag
 
 
@@ -70,6 +72,40 @@ class TestCustomDag:
         bases = ds.values[:3]
         assert np.array_equal(ds.values[3], bases[0] * bases[1])
         assert np.array_equal(ds.values[4], bases[0] * bases[1] * bases[2])
+
+    @pytest.mark.parametrize(
+        "dag",
+        [
+            random_dag(10, 30, seed=1),
+            random_dag(12, 40, seed=5, max_parents=8),
+            random_dag(6, 20, seed=2, max_parents=6),
+            random_dag(4, 0, seed=0),
+            DagSpec(3, ((2,), (0, 1), (1,))),
+            DagSpec(3, ((1, 1), (0, 2, 0, 2), (2, 2, 2), (0,))),
+        ],
+        ids=[
+            "three_parents", "eight_parents", "max_parents_is_n_base", "no_derived_row",
+            "single_parent_rows", "repeated_parents",
+        ],
+    )
+    @pytest.mark.parametrize("n_points, seed", [(1, 0), (257, 3), (5000, 11)])
+    def test_same_bytes_as_the_prod_vstack_oracle(self, dag, n_points, seed):
+        spec = SynthSpec("custom", n_points, seed=seed, dag=dag)
+        values = generate(spec).values
+        expected = prod_vstack_values(spec)
+        assert values.shape == expected.shape
+        assert values.tobytes() == expected.tobytes()
+
+    def test_holds_one_matrix(self):
+        # the shape of the paper's 2,154-feature case study: 86 MB of floats
+        spec = SynthSpec("custom", 5000, seed=0, dag=random_dag(154, 2000, seed=0))
+        tracemalloc.start()
+        try:
+            ds = generate(spec)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.1 * ds.values.nbytes
 
     def test_custom_requires_dag(self):
         with pytest.raises(ValueError, match="DagSpec"):
