@@ -10,14 +10,22 @@ module treats it as such.  ``read_rows`` parses that layout a row at a time.
 
 from __future__ import annotations
 
+import contextlib
 import csv
 import itertools
 import operator
+import os
+import shutil
+import subprocess
+import sys
+import tempfile
 import warnings
 from collections.abc import Iterator
 from dataclasses import dataclass, field
 
 import numpy as np
+
+from . import _csvrows
 
 
 class DatasetError(Exception):
@@ -228,11 +236,89 @@ def _cell_rows(lines, n_read: int, width: int) -> Iterator[np.ndarray]:
 
 
 def save_csv(ds: Dataset, path) -> None:
-    """Write a dataset in the interchange CSV layout; round-trips bit-exactly."""
+    """Write a dataset in the interchange CSV layout; round-trips bit-exactly.
+
+    Each value is written as its shortest ``repr``, a row per line.  That
+    formatting is nearly all of the time, so a matrix of at least
+    ``_PARALLEL_CELLS`` values is cut into contiguous shares of rows, one
+    per CPU this process may run on (``taskset`` limits them).  This process
+    formats the first share; each other share goes as raw floats to a
+    worker interpreter (``_csvrows``, standard library only), which writes
+    its text to an unnamed temporary file in ``path``'s directory, and the
+    files are appended in order.  The bytes are those of one process.  The
+    caller holds no share's text, only a row's, and no copy of the rows of
+    a C-contiguous matrix.  A worker that fails raises ``OSError`` naming
+    ``path``; on any error or interrupt every worker is killed and reaped.
+    """
+    values = ds.values
+    n_shares = min(_usable_cpus(), len(values)) if values.size >= _PARALLEL_CELLS else 1
     with open(path, "w", newline="", encoding="utf-8") as fh:
-        for row in ds.values:
-            fh.write(",".join(map(repr, row.tolist())))
-            fh.write("\n")
+        if n_shares < 2:
+            _csvrows.write_rows(values, fh)
+        else:
+            _write_shares(values, n_shares, fh, path)
+
+
+# save_csv formats a matrix of fewer values itself: two shares only began to
+# win at 2^17-2^18 values on 2 CPUs, where starting a worker costs ~10 ms
+_PARALLEL_CELLS = 1 << 18
+
+
+def _usable_cpus() -> int:
+    """The number of CPUs this process may run on."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def _write_shares(values: np.ndarray, n_shares: int, fh, path) -> None:
+    """Write ``values`` to ``fh`` in ``n_shares`` shares, all but the first by workers."""
+    bounds = [len(values) * i // n_shares for i in range(n_shares + 1)]
+    directory = os.path.dirname(os.path.abspath(path))
+    command = [sys.executable, "-I", "-S", _csvrows.__file__, str(values.shape[1])]
+    workers = []
+    with contextlib.ExitStack() as cleanup:
+        texts = [
+            cleanup.enter_context(tempfile.TemporaryFile(dir=directory))
+            for _ in range(n_shares - 1)
+        ]
+        cleanup.callback(_stop, workers)
+        for text in texts:
+            workers.append(subprocess.Popen(command, stdin=subprocess.PIPE, stdout=text))
+        # each worker reads its whole share before it formats, so these
+        # writes take about as long as a copy of the rows
+        for worker, start, stop in zip(workers, bounds[1:], bounds[2:]):
+            try:
+                with worker.stdin:
+                    for row in values[start:stop]:
+                        worker.stdin.write(np.ascontiguousarray(row))
+            except BrokenPipeError:
+                _check_exit(worker, path)
+                raise
+        _csvrows.write_rows(values[:bounds[1]], fh)
+        fh.flush()
+        for worker, text in zip(workers, texts):
+            _check_exit(worker, path)
+            text.seek(0)
+            shutil.copyfileobj(text, fh.buffer)
+
+
+def _stop(workers: list[subprocess.Popen]) -> None:
+    """Kill and reap each worker that is still running, and close its input."""
+    for worker in workers:
+        worker.kill()
+        worker.wait()
+        with contextlib.suppress(BrokenPipeError):
+            worker.stdin.close()
+
+
+def _check_exit(worker: subprocess.Popen, path) -> None:
+    """Wait for ``worker``; raise ``OSError`` naming ``path`` unless it exited 0."""
+    if worker.wait():
+        raise OSError(
+            f"could not write {os.fspath(path)!r}: a CSV formatting worker "
+            f"exited with status {worker.returncode}"
+        )
 
 
 def subsample_size(n_points: int, fraction: float) -> int:

@@ -3,6 +3,7 @@
 import csv
 import math
 import random
+import tracemalloc
 from itertools import combinations
 
 import numpy as np
@@ -223,6 +224,15 @@ DIFFERENTIAL_INPUTS = {
 def per_value_csv_text(values) -> str:
     """Oracle for the bytes ``save_csv`` writes: ``repr(float(v))`` per value."""
     return "".join(",".join(repr(float(v)) for v in row) + "\n" for row in values)
+
+
+def traced_peak(call):
+    """``call()``'s result and the most memory tracemalloc saw it hold."""
+    tracemalloc.start()
+    try:
+        return call(), tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
 
 def one_bin_rows() -> np.ndarray:

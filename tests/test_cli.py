@@ -4,7 +4,6 @@ import io
 import json
 import math
 import re
-import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -14,6 +13,7 @@ from helpers import (
     per_cell_load_csv,
     reference_robust_report,
     reference_run_report,
+    traced_peak,
 )
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -561,15 +561,6 @@ def many_points_csv(tmp_path_factory):
     path = tmp_path_factory.mktemp("data") / "many_points.csv"
     path.write_text("".join(",".join(map(str, row)) + "\n" for row in values.tolist()))
     return path, values.size * np.dtype(np.float64).itemsize
-
-
-def traced_peak(call):
-    """``call()``'s result and the most memory tracemalloc saw it hold."""
-    tracemalloc.start()
-    try:
-        return call(), tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
 
 
 class TestHeldPerCell:

@@ -1,13 +1,19 @@
 import contextlib
+import os
+import re
+import signal
+import subprocess
+import sys
 import warnings
 from decimal import Decimal
 
 import numpy as np
 import pytest
-from helpers import DIFFERENTIAL_INPUTS, per_cell_load_csv, per_value_csv_text
+from helpers import DIFFERENTIAL_INPUTS, per_cell_load_csv, per_value_csv_text, traced_peak
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import pfa._csvrows
 import pfa.dataset
 from pfa.dataset import (
     Dataset,
@@ -207,6 +213,164 @@ class TestRoundTrip:
         ds = Dataset(np.array(values), n_outputs=0)
         save_csv(ds, path)
         assert load_csv(path, n_outputs=0) == ds
+
+
+def shared_width(n_rows: int) -> int:
+    """The fewest columns that give ``n_rows`` rows ``_PARALLEL_CELLS`` values."""
+    return -(-pfa.dataset._PARALLEL_CELLS // n_rows)
+
+
+def shared_values(n_rows: int) -> np.ndarray:
+    """Rows of distinct values that make a shared write.
+
+    A row or share out of place changes the bytes.  The short reprs format
+    faster than ``random_finite_values``' bit patterns.
+    """
+    width = shared_width(n_rows)
+    return (np.arange(n_rows * width).reshape(n_rows, width) - n_rows * width // 2) / 4
+
+
+@pytest.fixture
+def workers(monkeypatch):
+    """The processes ``save_csv`` starts, recorded as they start."""
+    started = []
+
+    class Recorded(subprocess.Popen):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            started.append(self)
+
+    monkeypatch.setattr(subprocess, "Popen", Recorded)
+    return started
+
+
+def use_cpus(monkeypatch, n: int) -> None:
+    monkeypatch.setattr(pfa.dataset, "_usable_cpus", lambda: n)
+
+
+def use_worker_program(monkeypatch, tmp_path_factory, script: str) -> None:
+    """Start a shell ``script`` in place of each worker interpreter."""
+    program = tmp_path_factory.mktemp("bin") / "worker"
+    program.write_text(f"#!/bin/sh\n{script}\n")
+    program.chmod(0o755)
+    monkeypatch.setattr(sys, "executable", str(program))
+
+
+def assert_reaped(workers) -> None:
+    for worker in workers:
+        assert worker.returncode is not None
+        with pytest.raises(ChildProcessError):
+            os.waitpid(worker.pid, os.WNOHANG)
+
+
+class TestSharedSave:
+    """``save_csv`` of at least ``_PARALLEL_CELLS`` values, shares formatted by workers."""
+
+    @pytest.mark.parametrize(
+        "n_rows, cpus, n_workers",
+        [(1, 3, 0), (2, 3, 1), (7, 3, 2), (6, 2, 1)],
+        ids=["one_row", "fewer_rows_than_cpus", "uneven_shares", "even_shares"],
+    )
+    def test_same_bytes_as_the_per_value_writer(
+        self, tmp_path, monkeypatch, workers, n_rows, cpus, n_workers
+    ):
+        use_cpus(monkeypatch, cpus)
+        values = shared_values(n_rows)
+        path = tmp_path / "d.csv"
+        save_csv(Dataset(values, n_outputs=0), path)
+        assert path.read_bytes() == per_value_csv_text(values).encode("utf-8")
+        assert [w.returncode for w in workers] == [0] * n_workers
+        assert [p.name for p in tmp_path.iterdir()] == ["d.csv"]
+
+    @pytest.mark.parametrize("layout", ["fortran", "strided"])
+    def test_any_memory_layout(self, tmp_path, monkeypatch, workers, layout):
+        use_cpus(monkeypatch, 3)
+        if layout == "fortran":
+            values = np.asfortranarray(shared_values(5))
+        else:
+            values = np.repeat(shared_values(5), 2, axis=1)[:, ::2]
+        ds = Dataset(values, n_outputs=0)
+        assert not ds.values.flags.c_contiguous
+        assert ds.values.size >= pfa.dataset._PARALLEL_CELLS
+        path = tmp_path / "d.csv"
+        save_csv(ds, path)
+        assert path.read_bytes() == per_value_csv_text(values).encode("utf-8")
+        assert len(workers) == 2
+
+    def test_special_values_in_every_share(self, tmp_path, monkeypatch, workers):
+        use_cpus(monkeypatch, 3)
+        special = [-0.0, 5e-324, 1e-5, 1e16, 1.7976931348623157e308, -1.7976931348623157e308]
+        width = len(special) * (pfa.dataset._PARALLEL_CELLS // len(special) ** 2 + 1)
+        values = np.resize(np.array(special), (6, width))
+        path = tmp_path / "d.csv"
+        save_csv(Dataset(values, n_outputs=0), path)
+        text = path.read_text(encoding="utf-8")
+        assert text == per_value_csv_text(values)
+        assert text.splitlines()[-1].startswith(
+            "-0.0,5e-324,1e-05,1e+16,1.7976931348623157e+308,-1.7976931348623157e+308,"
+        )
+        assert len(workers) == 2
+
+    def test_same_bytes_on_one_cpu_and_on_three(self, tmp_path, monkeypatch, workers):
+        ds = Dataset(random_finite_values(2, (9, shared_width(9))), n_outputs=0)
+        written = []
+        for cpus in (1, 3):
+            use_cpus(monkeypatch, cpus)
+            path = tmp_path / f"{cpus}.csv"
+            save_csv(ds, path)
+            written.append(path.read_bytes())
+        assert written[0] == written[1]
+        assert len(workers) == 2
+
+    def test_small_write_starts_no_process(self, tmp_path, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("save_csv started a process")
+
+        monkeypatch.setattr(subprocess, "Popen", refuse)
+        use_cpus(monkeypatch, 3)
+        values = shared_values(4)[:, :-1]
+        path = tmp_path / "d.csv"
+        save_csv(Dataset(values, n_outputs=0), path)
+        assert path.read_bytes() == per_value_csv_text(values).encode("utf-8")
+
+    def test_failed_worker_raises_and_leaves_nothing(
+        self, tmp_path, tmp_path_factory, monkeypatch, workers
+    ):
+        use_worker_program(monkeypatch, tmp_path_factory, "exit 1")
+        use_cpus(monkeypatch, 3)
+        path = tmp_path / "d.csv"
+        with pytest.raises(OSError, match=re.escape(repr(str(path)))):
+            save_csv(Dataset(shared_values(6), n_outputs=0), path)
+        assert len(workers) == 2
+        assert_reaped(workers)
+        assert [p.name for p in tmp_path.iterdir()] == ["d.csv"]
+
+    def test_interrupt_kills_and_reaps_every_worker(
+        self, tmp_path, tmp_path_factory, monkeypatch, workers
+    ):
+        def interrupted(rows, out):
+            raise KeyboardInterrupt
+
+        # workers that read their share and would then run for a minute
+        use_worker_program(monkeypatch, tmp_path_factory, "cat > /dev/null\nexec sleep 60")
+        monkeypatch.setattr(pfa._csvrows, "write_rows", interrupted)
+        use_cpus(monkeypatch, 3)
+        with pytest.raises(KeyboardInterrupt):
+            save_csv(Dataset(shared_values(6), n_outputs=0), tmp_path / "d.csv")
+        assert [w.returncode for w in workers] == [-signal.SIGKILL] * 2
+        assert_reaped(workers)
+        assert [p.name for p in tmp_path.iterdir()] == ["d.csv"]
+
+    def test_holds_a_row_not_a_share(self, tmp_path, monkeypatch, workers):
+        # a row's floats and text are about 0.1 of this matrix; a share's
+        # text, or a copy of its floats, would be a third of it or more
+        use_cpus(monkeypatch, 3)
+        ds = Dataset(np.random.default_rng(5).uniform(size=(128, 4096)), n_outputs=0)
+        assert ds.values.size >= pfa.dataset._PARALLEL_CELLS
+        path = tmp_path / "d.csv"
+        _, peak = traced_peak(lambda: save_csv(ds, path))
+        assert len(workers) == 2
+        assert peak <= 0.25 * ds.values.nbytes
 
 
 class TestSubsample:
