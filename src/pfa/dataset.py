@@ -16,6 +16,7 @@ import itertools
 import operator
 import os
 import shutil
+import stat
 import subprocess
 import sys
 import tempfile
@@ -239,29 +240,29 @@ def save_csv(ds: Dataset, path) -> None:
     """Write a dataset in the interchange CSV layout; round-trips bit-exactly.
 
     Each value is written as its shortest ``repr``, a row per line.  That
-    formatting is nearly all of the time, so a matrix of at least
-    ``_PARALLEL_CELLS`` values is cut into contiguous shares of rows, one
-    per CPU this process may run on (``taskset`` limits them).  This process
-    formats the first share; each other share goes as raw floats to a
-    worker interpreter (``_csvrows``, standard library only), which writes
-    its text to an unnamed temporary file in ``path``'s directory, and the
-    files are appended in order.  The bytes are those of one process.  The
-    caller holds no share's text, only a row's, and no copy of the rows of
-    a C-contiguous matrix.  A worker that fails raises ``OSError`` naming
+    formatting is nearly all of the time, so a large matrix is cut into
+    contiguous shares of rows: one per CPU this process may run on
+    (``taskset`` limits them), each of at least ``_CELLS_PER_SHARE`` values.
+    This process formats the first share; each other share goes as raw
+    floats to a worker interpreter (``_csvrows``, standard library only),
+    which writes its text to an unnamed temporary file in ``path``'s
+    directory, and the files are appended in order.  The bytes are those of
+    one process.  The caller holds no share's text, only a row's, and no
+    copy of the rows of a C-contiguous matrix.  If ``path`` is not a regular
+    file, or the temporary files or workers cannot be made, this process
+    formats every row.  A worker that fails raises ``OSError`` naming
     ``path``; on any error or interrupt every worker is killed and reaped.
     """
     values = ds.values
-    n_shares = min(_usable_cpus(), len(values)) if values.size >= _PARALLEL_CELLS else 1
+    n_shares = min(_usable_cpus(), len(values), values.size // _CELLS_PER_SHARE)
     with open(path, "w", newline="", encoding="utf-8") as fh:
-        if n_shares < 2:
+        if n_shares < 2 or not _write_shares(values, n_shares, fh, path):
             _csvrows.write_rows(values, fh)
-        else:
-            _write_shares(values, n_shares, fh, path)
 
 
-# save_csv formats a matrix of fewer values itself: two shares only began to
-# win at 2^17-2^18 values on 2 CPUs, where starting a worker costs ~10 ms
-_PARALLEL_CELLS = 1 << 18
+# the fewest values worth a worker: two shares of 2^17 values began to win
+# over one process on 2 CPUs, where starting a worker costs ~10 ms
+_CELLS_PER_SHARE = 1 << 17
 
 
 def _usable_cpus() -> int:
@@ -271,20 +272,29 @@ def _usable_cpus() -> int:
     return os.cpu_count() or 1
 
 
-def _write_shares(values: np.ndarray, n_shares: int, fh, path) -> None:
-    """Write ``values`` to ``fh`` in ``n_shares`` shares, all but the first by workers."""
+def _write_shares(values: np.ndarray, n_shares: int, fh, path) -> bool:
+    """Write ``values`` to ``fh`` in ``n_shares`` shares, all but the first by workers.
+
+    False, having written nothing, if ``fh`` is not a regular file or the
+    temporary files or workers cannot be made.
+    """
+    if not stat.S_ISREG(os.fstat(fh.fileno()).st_mode) or not os.path.isfile(_csvrows.__file__):
+        return False
     bounds = [len(values) * i // n_shares for i in range(n_shares + 1)]
     directory = os.path.dirname(os.path.abspath(path))
     command = [sys.executable, "-I", "-S", _csvrows.__file__, str(values.shape[1])]
     workers = []
     with contextlib.ExitStack() as cleanup:
-        texts = [
-            cleanup.enter_context(tempfile.TemporaryFile(dir=directory))
-            for _ in range(n_shares - 1)
-        ]
         cleanup.callback(_stop, workers)
-        for text in texts:
-            workers.append(subprocess.Popen(command, stdin=subprocess.PIPE, stdout=text))
+        try:
+            texts = [
+                cleanup.enter_context(tempfile.TemporaryFile(dir=directory))
+                for _ in range(n_shares - 1)
+            ]
+            for text in texts:
+                workers.append(subprocess.Popen(command, stdin=subprocess.PIPE, stdout=text))
+        except OSError:  # e.g. a read-only directory, or no interpreter to run
+            return False
         # each worker reads its whole share before it formats, so these
         # writes take about as long as a copy of the rows
         for worker, start, stop in zip(workers, bounds[1:], bounds[2:]):
@@ -301,6 +311,7 @@ def _write_shares(values: np.ndarray, n_shares: int, fh, path) -> None:
             _check_exit(worker, path)
             text.seek(0)
             shutil.copyfileobj(text, fh.buffer)
+    return True
 
 
 def _stop(workers: list[subprocess.Popen]) -> None:

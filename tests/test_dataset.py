@@ -4,6 +4,8 @@ import re
 import signal
 import subprocess
 import sys
+import tempfile
+import threading
 import warnings
 from decimal import Decimal
 
@@ -215,18 +217,18 @@ class TestRoundTrip:
         assert load_csv(path, n_outputs=0) == ds
 
 
-def shared_width(n_rows: int) -> int:
-    """The fewest columns that give ``n_rows`` rows ``_PARALLEL_CELLS`` values."""
-    return -(-pfa.dataset._PARALLEL_CELLS // n_rows)
+def shared_width(n_rows: int, n_shares: int = 3) -> int:
+    """The fewest columns that give ``n_rows`` rows ``n_shares`` shares' values."""
+    return -(-n_shares * pfa.dataset._CELLS_PER_SHARE // n_rows)
 
 
-def shared_values(n_rows: int) -> np.ndarray:
-    """Rows of distinct values that make a shared write.
+def shared_values(n_rows: int, n_shares: int = 3) -> np.ndarray:
+    """Rows of distinct values that make a shared write, of up to ``n_shares`` shares.
 
     A row or share out of place changes the bytes.  The short reprs format
     faster than ``random_finite_values``' bit patterns.
     """
-    width = shared_width(n_rows)
+    width = shared_width(n_rows, n_shares)
     return (np.arange(n_rows * width).reshape(n_rows, width) - n_rows * width // 2) / 4
 
 
@@ -264,7 +266,7 @@ def assert_reaped(workers) -> None:
 
 
 class TestSharedSave:
-    """``save_csv`` of at least ``_PARALLEL_CELLS`` values, shares formatted by workers."""
+    """``save_csv`` of at least two shares' values, shares formatted by workers."""
 
     @pytest.mark.parametrize(
         "n_rows, cpus, n_workers",
@@ -291,7 +293,6 @@ class TestSharedSave:
             values = np.repeat(shared_values(5), 2, axis=1)[:, ::2]
         ds = Dataset(values, n_outputs=0)
         assert not ds.values.flags.c_contiguous
-        assert ds.values.size >= pfa.dataset._PARALLEL_CELLS
         path = tmp_path / "d.csv"
         save_csv(ds, path)
         assert path.read_bytes() == per_value_csv_text(values).encode("utf-8")
@@ -300,7 +301,7 @@ class TestSharedSave:
     def test_special_values_in_every_share(self, tmp_path, monkeypatch, workers):
         use_cpus(monkeypatch, 3)
         special = [-0.0, 5e-324, 1e-5, 1e16, 1.7976931348623157e308, -1.7976931348623157e308]
-        width = len(special) * (pfa.dataset._PARALLEL_CELLS // len(special) ** 2 + 1)
+        width = len(special) * (3 * pfa.dataset._CELLS_PER_SHARE // len(special) ** 2 + 1)
         values = np.resize(np.array(special), (6, width))
         path = tmp_path / "d.csv"
         save_csv(Dataset(values, n_outputs=0), path)
@@ -328,10 +329,81 @@ class TestSharedSave:
 
         monkeypatch.setattr(subprocess, "Popen", refuse)
         use_cpus(monkeypatch, 3)
-        values = shared_values(4)[:, :-1]
+        values = shared_values(4, n_shares=2)[:, :-1]
         path = tmp_path / "d.csv"
         save_csv(Dataset(values, n_outputs=0), path)
         assert path.read_bytes() == per_value_csv_text(values).encode("utf-8")
+
+    def test_many_cpus_give_no_share_below_the_minimum(self, tmp_path, monkeypatch, workers):
+        use_cpus(monkeypatch, 64)
+        values = shared_values(64, n_shares=2)
+        path = tmp_path / "d.csv"
+        save_csv(Dataset(values, n_outputs=0), path)
+        assert path.read_bytes() == per_value_csv_text(values).encode("utf-8")
+        assert len(workers) == 1
+
+    def test_pipe_is_written_by_this_process(self, tmp_path, monkeypatch, workers):
+        use_cpus(monkeypatch, 3)
+        values = shared_values(6)
+        fifo = tmp_path / "fifo"
+        os.mkfifo(fifo)
+        read = []
+        reader = threading.Thread(target=lambda: read.append(fifo.read_bytes()), daemon=True)
+        reader.start()
+        try:
+            save_csv(Dataset(values, n_outputs=0), fifo)
+        finally:
+            reader.join(60)
+        assert read == [per_value_csv_text(values).encode("utf-8")]
+        assert workers == []
+        assert [p.name for p in tmp_path.iterdir()] == ["fifo"]
+
+    def test_no_temporary_file_falls_back_to_this_process(self, tmp_path, monkeypatch, workers):
+        # the second temporary file is refused, as in a read-only directory
+        made = []
+
+        def second_refused(**kwargs):
+            if made:
+                raise PermissionError(13, "Permission denied", kwargs["dir"])
+            made.append(temporary_file(**kwargs))
+            return made[-1]
+
+        temporary_file = tempfile.TemporaryFile
+        monkeypatch.setattr(tempfile, "TemporaryFile", second_refused)
+        use_cpus(monkeypatch, 3)
+        values = shared_values(6)
+        path = tmp_path / "d.csv"
+        save_csv(Dataset(values, n_outputs=0), path)
+        assert path.read_bytes() == per_value_csv_text(values).encode("utf-8")
+        assert workers == []
+        assert made[0].closed
+
+    @pytest.mark.parametrize("failure", ["no_interpreter", "second_start_fails", "no_script"])
+    def test_worker_that_cannot_start_falls_back_to_this_process(
+        self, tmp_path, monkeypatch, workers, failure
+    ):
+        use_cpus(monkeypatch, 3)
+        if failure == "no_interpreter":
+            monkeypatch.setattr(sys, "executable", str(tmp_path / "missing"))
+        elif failure == "no_script":  # e.g. pfa imported from a zip file
+            monkeypatch.setattr(pfa._csvrows, "__file__", str(tmp_path / "pfa.zip" / "_csvrows.py"))
+        else:
+            recorded = subprocess.Popen
+
+            class SecondFails(recorded):
+                def __init__(self, *args, **kwargs):
+                    if workers:
+                        raise PermissionError(13, "Permission denied", args[0][0])
+                    super().__init__(*args, **kwargs)
+
+            monkeypatch.setattr(subprocess, "Popen", SecondFails)
+        values = shared_values(6)
+        path = tmp_path / "d.csv"
+        save_csv(Dataset(values, n_outputs=0), path)
+        assert path.read_bytes() == per_value_csv_text(values).encode("utf-8")
+        assert len(workers) == (failure == "second_start_fails")
+        assert_reaped(workers)
+        assert [p.name for p in tmp_path.iterdir()] == ["d.csv"]
 
     def test_failed_worker_raises_and_leaves_nothing(
         self, tmp_path, tmp_path_factory, monkeypatch, workers
@@ -366,7 +438,6 @@ class TestSharedSave:
         # text, or a copy of its floats, would be a third of it or more
         use_cpus(monkeypatch, 3)
         ds = Dataset(np.random.default_rng(5).uniform(size=(128, 4096)), n_outputs=0)
-        assert ds.values.size >= pfa.dataset._PARALLEL_CELLS
         path = tmp_path / "d.csv"
         _, peak = traced_peak(lambda: save_csv(ds, path))
         assert len(workers) == 2
